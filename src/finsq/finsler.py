@@ -134,9 +134,16 @@ def f_squared(M: GeneralABMetric, X, Y) -> Scalar:
 
 def fundamental_tensor(M: GeneralABMetric, x, y) -> tuple[np.ndarray, np.ndarray]:
     """g_ij = (1/2)[F^2]_{y^i y^j} and its inverse at one (x, y)."""
-    n = M.dim
     X, Y = seed_pair(x, y, DerivativeSpec(0, 2))
-    F2 = f_squared(M, X, Y)
+    g = _fundamental(M, f_squared(M, X, Y), x, y)
+    return g, np.linalg.inv(g)
+
+
+def _fundamental(M: GeneralABMetric, F2: Jet, x, y) -> np.ndarray:
+    """g_ij at (x, y), read off an F^2 jet over (x, y) with y-order >= 2.
+
+    Raises StrongConvexityError unless g is strongly convex."""
+    n = M.dim
     g = np.empty((n, n))
     for i in range(n):
         for j in range(i, n):
@@ -150,24 +157,29 @@ def fundamental_tensor(M: GeneralABMetric, x, y) -> tuple[np.ndarray, np.ndarray
             f"{M.name}: fundamental tensor not strongly convex at x={tuple(np.round(x, 6))}, "
             f"y={tuple(np.round(y, 6))} (eigenvalues {ev})"
         )
-    return g, np.linalg.inv(g)
+    return g
 
 
 # -- spray -----------------------------------------------------------------
 
 
-def spray_jets(M: GeneralABMetric, x, y, x_out: int, y_out: int) -> list[Jet]:
-    """Spray coefficients G^i as jets exact to (x_out, y_out, x_out + y_out).
+def spray_jets(M: GeneralABMetric, x, y, x_out: int,
+               y_out: int) -> tuple[float, np.ndarray, list[Jet]]:
+    """F^2 and g_ij at (x, y), and the spray coefficients G^i as jets exact
+    to (x_out, y_out, x_out + y_out).
 
     F^2 is evaluated once in a space with caps (x_out + 1, y_out + 2) and
     total x_out + y_out + 2; the assembly consumes one x-order for [F^2]_x,
     one x- and one y-order for the mixed term, and two y-orders for g_ij,
     so the solved G^i jets are exact on the advertised target space.
+    Raises StrongConvexityError, before solving, where g is not strongly
+    convex.
     """
     n = M.dim
     spec = DerivativeSpec(x_out + 1, y_out + 2)
     X, Y = seed_pair(x, y, spec, total_cap=x_out + y_out + 2)
     F2 = f_squared(M, X, Y)
+    g = _fundamental(M, F2, x, y)
     target = xy_space(n, n, x_out, y_out, x_out + y_out)
 
     dx = [F2.derivative(l) for l in range(n)]
@@ -187,12 +199,12 @@ def spray_jets(M: GeneralABMetric, x, y, x_out: int, y_out: int) -> list[Jet]:
             rows[i][j] = gij
             rows[j][i] = gij
     G = linalg.solve(rows, rhs)
-    return [0.25 * gi for gi in G]
+    return float(F2.value), g, [0.25 * gi for gi in G]
 
 
 def spray(M: GeneralABMetric, x, y) -> np.ndarray:
     """Spray values from the definition (the generic route)."""
-    return np.array([float(g.value) for g in spray_jets(M, x, y, 0, 0)])
+    return np.array([float(g.value) for g in spray_jets(M, x, y, 0, 0)[2]])
 
 
 def spray_closed_form(M: GeneralABMetric, x, y) -> np.ndarray:
@@ -255,7 +267,7 @@ def riemann_curvature(M: GeneralABMetric, x, y, method: str = "jet") -> np.ndarr
         return _riemann_fd(M, x, y)
     if method != "jet":
         raise ValueError(f"unknown curvature method {method!r}")
-    return _riemann_from_jets(n, spray_jets(M, x, y, 1, 2), y)
+    return _riemann_from_jets(n, spray_jets(M, x, y, 1, 2)[2], y)
 
 
 def _riemann_fd(M, x, y, step_x: float = 1e-3, step_y: float = 1e-3) -> np.ndarray:
@@ -291,45 +303,18 @@ def ricci(M: GeneralABMetric, x, y, method: str = "jet") -> float:
 
 
 def flag_curvature(M: GeneralABMetric, x, y, u) -> float:
-    """Flag curvature of the flag with pole y and transverse edge u:
-
-        K = g(u, R u) / (F^2 g(u, u) - g(y, u)^2)
-    """
-    y = np.asarray(y, float)
-    u = np.asarray(u, float)
-    g, _ = fundamental_tensor(M, x, y)
-    R = riemann_curvature(M, x, y)
-    X = [float(v) for v in x]
-    F2 = float(f_squared(M, X, list(y)))
-    den = F2 * float(u @ g @ u) - float(y @ g @ u) ** 2
-    if den <= 1e-12 * F2 * float(u @ g @ u):
-        raise DegenerateFlagError("flag edge u is parallel to the pole y")
-    num = float(u @ g @ (R @ u))
-    return num / den
+    """Flag curvature of the flag with pole y and transverse edge u."""
+    return curvature_data(M, x, y).flag_curvature(u)
 
 
 def cfc_residual(M: GeneralABMetric, x, y, K: float) -> float:
-    """Deviation of R^i_k from constant flag curvature K.
-
-    Constant flag curvature K means R^i_k = K (F^2 delta^i_k - y^i y_k) with
-    y_k = g_kj y^j.  Returns max |difference| / (F^2 + max |R|), so the value
-    is scale free in y.
-    """
-    y = np.asarray(y, float)
-    g, _ = fundamental_tensor(M, x, y)
-    R = riemann_curvature(M, x, y)
-    F2 = float(f_squared(M, [float(v) for v in x], list(y)))
-    y_low = g @ y
-    expect = K * (F2 * np.eye(M.dim) - np.outer(y, y_low))
-    scale = F2 + float(np.max(np.abs(R)))
-    return float(np.max(np.abs(R - expect))) / scale
+    """Deviation of R^i_k from constant flag curvature K at one flag."""
+    return curvature_data(M, x, y).cfc_residual(K)
 
 
 def einstein_residual(M: GeneralABMetric, x, y, c: Callable[[np.ndarray], float] | float) -> float:
     """|Ric - (n-1) c(x) F^2| / F^2 at one sample."""
-    cx = c(np.asarray(x, float)) if callable(c) else float(c)
-    F2 = float(f_squared(M, [float(v) for v in x], [float(v) for v in y]))
-    return abs(ricci(M, x, y) - (M.dim - 1) * cx * F2) / F2
+    return curvature_data(M, x, y).einstein_residual(c)
 
 
 # -- Douglas tensor -------------------------------------------------------------
@@ -357,7 +342,7 @@ class DouglasTensor:
 def douglas_tensor(M: GeneralABMetric, x, y) -> DouglasTensor:
     """Douglas tensor from D = d^3/dy^3 [ G^i - (dG^m/dy^m) y^i / (n+1) ]."""
     n = M.dim
-    G = spray_jets(M, x, y, 0, 4)
+    _, _, G = spray_jets(M, x, y, 0, 4)
     # rebuild the y seeds inside G's space for an exact product with N
     space = G[0].space
     Y = [Jet.variable(space, n + i, float(y[i])) for i in range(n)]
@@ -387,27 +372,54 @@ def douglas_tensor(M: GeneralABMetric, x, y) -> DouglasTensor:
 
 @dataclass(frozen=True)
 class CurvatureData:
-    """Everything the per-sample checks consume, computed once."""
+    """Everything the per-flag checks consume, computed once."""
 
     x: np.ndarray
     y: np.ndarray
     f2: float
     g: np.ndarray
-    ginv: np.ndarray
     spray: np.ndarray
     riemann: np.ndarray
     ricci: float
 
+    def flag_curvature(self, u) -> float:
+        """Flag curvature of the flag with pole y and transverse edge u:
+
+            K = g(u, R u) / (F^2 g(u, u) - g(y, u)^2)
+        """
+        u = np.asarray(u, float)
+        g, y = self.g, self.y
+        den = self.f2 * float(u @ g @ u) - float(y @ g @ u) ** 2
+        if den <= 1e-12 * self.f2 * float(u @ g @ u):
+            raise DegenerateFlagError("flag edge u is parallel to the pole y")
+        return float(u @ g @ (self.riemann @ u)) / den
+
+    def cfc_residual(self, K: float) -> float:
+        """Deviation of R^i_k from constant flag curvature K.
+
+        Constant flag curvature K means R^i_k = K (F^2 delta^i_k - y^i y_k)
+        with y_k = g_kj y^j.  Returns max |difference| / (F^2 + max |R|), so
+        the value is scale free in y.
+        """
+        R = self.riemann
+        expect = K * (self.f2 * np.eye(len(self.y)) - np.outer(self.y, self.g @ self.y))
+        return float(np.max(np.abs(R - expect))) / (self.f2 + float(np.max(np.abs(R))))
+
+    def einstein_residual(self, c: Callable[[np.ndarray], float] | float) -> float:
+        """|Ric - (n-1) c(x) F^2| / F^2."""
+        cx = c(self.x) if callable(c) else float(c)
+        return abs(self.ricci - (len(self.y) - 1) * cx * self.f2) / self.f2
+
 
 def curvature_data(M: GeneralABMetric, x, y) -> CurvatureData:
+    """The flag bundle at (x, y), from one spray solve: F^2 and g come from
+    the F^2 jet the solve evaluates, so F^2 is evaluated once per flag."""
     x = np.asarray(x, float)
     y = np.asarray(y, float)
-    g, ginv = fundamental_tensor(M, x, y)
-    G = spray_jets(M, x, y, 1, 2)
+    f2, g, G = spray_jets(M, x, y, 1, 2)
     R = _riemann_from_jets(M.dim, G, y)
-    F2 = float(f_squared(M, list(x), list(y)))
     return CurvatureData(
-        x=x, y=y, f2=F2, g=g, ginv=ginv,
+        x=x, y=y, f2=f2, g=g,
         spray=np.array([float(gi.value) for gi in G]),
         riemann=R, ricci=float(np.trace(R)),
     )

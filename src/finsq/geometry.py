@@ -94,25 +94,58 @@ def validate_chart(alpha: RiemannMetric, points: Sequence[Sequence[float]]) -> N
 # -- connection and curvature -------------------------------------------------
 
 
+def _second_order(comps, X: Sequence[Jet]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Values, gradients and Hessians of components evaluated on X.
+
+    X are second-order seeds along the coordinate directions; comps is the
+    (possibly nested) list a chart returned for them, holding jets or plain
+    floats.  The arrays keep its shape and append one or two x-axes:
+    grad[..., k] = d_k c and hess[..., k, l] = d_k d_l c.
+    """
+    space = X[0].space
+    n = len(X)
+    comps = np.asarray(comps, dtype=object)
+    rows = np.zeros((comps.size, space.size))
+    for r, c in enumerate(comps.flat):
+        if isinstance(c, Jet):
+            rows[r] = c.coeffs
+        else:
+            rows[r, 0] = float(c)
+    first = [space.position[_unit(n, k)] for k in range(n)]
+    second = np.array([[space.position[_unit(n, k, l)] for l in range(n)] for k in range(n)])
+    shape = comps.shape
+    return (rows[:, 0].reshape(shape),
+            rows[:, first].reshape(shape + (n,)),
+            (rows[:, second] * space.fact[second]).reshape(shape + (n, n)))
+
+
+def _levi_civita(A, X):
+    """a, a^-1, d_k a^{ij}, Gamma^i_{jk} and d_m Gamma^i_{jk} (last axis m)
+    from metric components A evaluated on second-order seeds X."""
+    a, da, dda = _second_order(A, X)  # da[i, j, k] = d_k a_ij
+    ainv = np.linalg.inv(a)
+    dainv = -np.einsum("ip,pqk,qj->ijk", ainv, da, ainv)
+    # twice the first-kind symbols, 2 Gamma_{ljk} = d_k a_lj + d_j a_lk - d_l a_jk
+    two = da + da.transpose(0, 2, 1) - da.transpose(2, 0, 1)
+    dtwo = dda + dda.transpose(0, 2, 1, 3) - dda.transpose(2, 0, 1, 3)
+    gamma = 0.5 * np.einsum("il,ljk->ijk", ainv, two)
+    dgamma = 0.5 * (np.einsum("ilm,ljk->ijkm", dainv, two)
+                    + np.einsum("il,ljkm->ijkm", ainv, dtwo))
+    return a, ainv, dainv, gamma, dgamma
+
+
+def _ricci(gamma: np.ndarray, dgamma: np.ndarray) -> np.ndarray:
+    """Ric_jk = d_l Gamma^l_{jk} - d_k Gamma^l_{jl}
+                + Gamma^l_{lm} Gamma^m_{jk} - Gamma^l_{km} Gamma^m_{jl}"""
+    ric = (np.einsum("ljkl->jk", dgamma) - np.einsum("ljlk->jk", dgamma)
+           + np.einsum("llm,mjk->jk", gamma, gamma) - np.einsum("lkm,mjl->jk", gamma, gamma))
+    return 0.5 * (ric + ric.T)
+
+
 def christoffels(alpha: RiemannMetric, x: Sequence[float]) -> np.ndarray:
     """Christoffel symbols Gamma^i_{jk} at a point, shape (n, n, n)."""
-    n = alpha.dim
-    X = seed(x, np.eye(n), 1)
-    A = alpha.components(X)
-    a0 = np.array([[_val(A[i][j]) for j in range(n)] for i in range(n)])
-    dA = np.array(
-        [[[_dx(A[i][j], _unit(n, l)) for l in range(n)] for j in range(n)] for i in range(n)]
-    )  # dA[i][j][l] = d a_ij / d x^l
-    ainv = np.linalg.inv(a0)
-    gamma = np.empty((n, n, n))
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                acc = 0.0
-                for l in range(n):
-                    acc += ainv[i, l] * (dA[l, j, k] + dA[l, k, j] - dA[j, k, l])
-                gamma[i, j, k] = 0.5 * acc
-    return gamma
+    X = seed(x, np.eye(alpha.dim), 2)
+    return _levi_civita(alpha.components(X), X)[3]
 
 
 def geodesic_spray(alpha: RiemannMetric, x: Sequence[float], y: Sequence[float]) -> np.ndarray:
@@ -141,45 +174,12 @@ def spray_from_christoffels(alpha: RiemannMetric, x, y) -> np.ndarray:
 
 
 def ricci_tensor(alpha: RiemannMetric, x: Sequence[float]) -> np.ndarray:
-    """Ricci tensor by the classical curvature contraction.
-
-    Ric_jk = d_l Gamma^l_{jk} - d_k Gamma^l_{jl}
-             + Gamma^l_{lm} Gamma^m_{jk} - Gamma^l_{km} Gamma^m_{jl}
-
-    Independent of the spray-based curvature path: only Christoffel symbols
-    and their first x-derivatives enter, via second-order jets of a_ij.
-    """
-    n = alpha.dim
-    X = seed(x, np.eye(n), 2)
-    A = alpha.components(X)
-    A = [[A[i][j] if isinstance(A[i][j], Jet) else Jet.constant(X[0].space, A[i][j]) for j in range(n)] for i in range(n)]
-    Ainv = linalg.inverse(A)
-    dA = [[[A[i][j].derivative(l) for l in range(n)] for j in range(n)] for i in range(n)]
-    gamma_jets = [[[None] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            for k in range(j, n):
-                acc = None
-                for l in range(n):
-                    term = dA[l][j][k] + dA[l][k][j] - dA[j][k][l]
-                    contrib = Ainv[i][l] * term
-                    acc = contrib if acc is None else acc + contrib
-                g = 0.5 * acc
-                gamma_jets[i][j][k] = g
-                gamma_jets[i][k][j] = g
-    g0 = np.array([[[_val(gamma_jets[i][j][k]) for k in range(n)] for j in range(n)] for i in range(n)])
-    dg = np.array(
-        [[[[_dx(gamma_jets[i][j][k], _unit(n, l)) for l in range(n)] for k in range(n)] for j in range(n)] for i in range(n)]
-    )  # dg[i][j][k][l] = d Gamma^i_{jk} / d x^l
-    ric = np.empty((n, n))
-    for j in range(n):
-        for k in range(n):
-            t1 = sum(dg[l, j, k, l] for l in range(n))
-            t2 = sum(dg[l, j, l, k] for l in range(n))
-            t3 = sum(g0[l, l, m] * g0[m, j, k] for l in range(n) for m in range(n))
-            t4 = sum(g0[l, k, m] * g0[m, j, l] for l in range(n) for m in range(n))
-            ric[j, k] = t1 - t2 + t3 - t4
-    return 0.5 * (ric + ric.T)
+    """Ricci tensor by the classical curvature contraction of Christoffel
+    symbols and their first x-derivatives, read off second-order jets of
+    a_ij.  Independent of the spray-based curvature path."""
+    X = seed(x, np.eye(alpha.dim), 2)
+    _, _, _, gamma, dgamma = _levi_civita(alpha.components(X), X)
+    return _ricci(gamma, dgamma)
 
 
 def ricci_curvature(alpha: RiemannMetric, x, y) -> float:
@@ -193,29 +193,29 @@ def ricci_curvature(alpha: RiemannMetric, x, y) -> float:
 
 def covariant_derivative(alpha: RiemannMetric, beta: OneFormField, x) -> np.ndarray:
     """b_{i|j} with respect to alpha's Levi-Civita connection, shape (n, n)."""
-    n = alpha.dim
-    X = seed(x, np.eye(n), 1)
-    B = beta.components(X)
-    db = np.array([[_dx(B[i], _unit(n, j)) for j in range(n)] for i in range(n)])
-    b0 = np.array([_val(B[i]) for i in range(n)])
-    gamma = christoffels(alpha, x)
-    return db - np.einsum("kij,k->ij", gamma, b0)
+    return beta_derivatives(alpha, beta, x).bij
 
 
 @dataclass(frozen=True)
 class BetaDerivatives:
-    """Covariant derivative of a one-form split into symmetric and skew parts.
+    """Second-order point bundle of a metric and a one-form at one x.
 
-    r_ij = (b_{i|j} + b_{j|i}) / 2,  s_ij = (b_{i|j} - b_{j|i}) / 2, with the
-    metric data needed for the standard contractions against y and b.
+    Covariant derivative b_{i|j} = d_j b_i - Gamma^k_{ij} b_k split into
+    r_ij = (b_{i|j} + b_{j|i}) / 2 and s_ij = (b_{i|j} - b_{j|i}) / 2, with
+    the metric data needed for the standard contractions against y and b,
+    Ric(a), and the x-derivatives (last axis) of a^{ij}, b_i and b_{i|j}.
     """
 
     a: np.ndarray
     ainv: np.ndarray
+    dainv: np.ndarray
+    ricci: np.ndarray
     b_lower: np.ndarray
     b_upper: np.ndarray
+    db: np.ndarray
     b2: float
     bij: np.ndarray
+    dbij: np.ndarray
     r: np.ndarray
     s: np.ndarray
 
@@ -244,17 +244,18 @@ class BetaDerivatives:
 
 
 def beta_derivatives(alpha: RiemannMetric, beta: OneFormField, x) -> BetaDerivatives:
-    n = alpha.dim
-    a = alpha.matrix(x)
-    ainv = np.linalg.inv(a)
-    b_lower = np.array([_val(c) for c in beta.components([float(v) for v in x])])
-    b_upper = ainv @ b_lower
-    bij = covariant_derivative(alpha, beta, x)
-    r = 0.5 * (bij + bij.T)
-    s = 0.5 * (bij - bij.T)
+    """The point bundle, from one evaluation of a_ij and b_i on second-order jets."""
+    X = seed(x, np.eye(alpha.dim), 2)
+    a, ainv, dainv, gamma, dgamma = _levi_civita(alpha.components(X), X)
+    b, db, ddb = _second_order(beta.components(X), X)  # db[i, j] = d_j b_i
+    b_upper = ainv @ b
+    bij = db - np.einsum("kij,k->ij", gamma, b)
+    dbij = (ddb - np.einsum("mijk,m->ijk", dgamma, b)
+            - np.einsum("mij,mk->ijk", gamma, db))
     return BetaDerivatives(
-        a=a, ainv=ainv, b_lower=b_lower, b_upper=b_upper,
-        b2=float(b_lower @ b_upper), bij=bij, r=r, s=s,
+        a=a, ainv=ainv, dainv=dainv, ricci=_ricci(gamma, dgamma),
+        b_lower=b, b_upper=b_upper, db=db, b2=float(b @ b_upper),
+        bij=bij, dbij=dbij, r=0.5 * (bij + bij.T), s=0.5 * (bij - bij.T),
     )
 
 

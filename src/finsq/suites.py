@@ -11,15 +11,10 @@ rewritten-expression agreement at 1e-9, and curvature-level statements at
 1e-6 or 1e-7.  A tolerances mapping (from configuration) replaces the
 default for a full check name, or for one residual family inside a
 certificate via "suite/check.family".
-
-Suites run sequentially by default; set FINSQ_THREADS=k to spread them
-over k worker threads (results keep the requested order either way).
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +23,7 @@ from . import construct as con
 from . import geometry as geo
 from . import square as sq
 from .config import RunConfig, SUITE_NAMES
-from .finsler import cfc_residual, douglas_tensor, einstein_residual, flag_curvature
+from .finsler import curvature_data, douglas_tensor, einstein_residual
 from .registry import MetricBundle
 from .reporting import CheckEntry, SuiteResult, residual_stat
 from .sampling import SampleSet, sample_inputs
@@ -88,7 +83,7 @@ def _suite_einstein(ctx: SuiteContext):
         scale = sq.check_einstein_scale_system(
             b.alpha, b.beta, pts,
             tolerances=ctx.cert_tols("einstein/scale-certificate",
-                                     {"covariant": 1e-8, "gradient": 1e-6, "constancy": 1e-8}),
+                                     {"covariant": 1e-8, "gradient": 1e-8, "constancy": 1e-8}),
             b_cap=ctx.config.b_cap)
         checks.append(_cert_entry("einstein/scale-certificate", scale))
     else:
@@ -109,10 +104,11 @@ def _suite_cfc(ctx: SuiteContext):
     if b.expected_flag is None:
         return [], ["no constant flag curvature is known for this metric"]
     K = b.expected_flag
-    pts, dirs, edges = ctx.samples.points, ctx.samples.directions, ctx.samples.edges
-    flags = [abs(flag_curvature(b.metric, x, y, u) - K)
-             for x, y, u in zip(pts, dirs, edges)]
-    resid = [cfc_residual(b.metric, x, y, K) for x, y in zip(pts, dirs)]
+    flags, resid = [], []
+    for x, y, u in zip(ctx.samples.points, ctx.samples.directions, ctx.samples.edges):
+        cd = curvature_data(b.metric, x, y)
+        flags.append(abs(cd.flag_curvature(u) - K))
+        resid.append(cd.cfc_residual(K))
     return [
         _stat_entry("cfc/flag", flags, ctx.tol("cfc/flag", 1e-6), {"expected": K}),
         _stat_entry("cfc/residual", resid, ctx.tol("cfc/residual", 1e-6), {"expected": K}),
@@ -247,15 +243,6 @@ _SUITES = {
 assert set(_SUITES) == set(SUITE_NAMES)
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("FINSQ_THREADS", "1")
-    try:
-        k = int(raw)
-    except ValueError:
-        raise ValueError(f"FINSQ_THREADS must be an integer, got {raw!r}")
-    return max(1, k)
-
-
 def run_suites(bundle: MetricBundle, cfg: RunConfig) -> list[SuiteResult]:
     """Run the configured suites over one bundle, in the requested order."""
     samples = sample_inputs(bundle.alpha, bundle.beta, cfg.samples, cfg.seed,
@@ -270,8 +257,4 @@ def run_suites(bundle: MetricBundle, cfg: RunConfig) -> list[SuiteResult]:
                                (CheckEntry(f"{name}/skipped", False, {"reason": reason}),))
         return SuiteResult(name, all(c.passed for c in checks), tuple(checks))
 
-    k = _thread_count()
-    if k == 1:
-        return [run_one(name) for name in cfg.suites]
-    with ThreadPoolExecutor(max_workers=k) as pool:
-        return list(pool.map(run_one, cfg.suites))
+    return [run_one(name) for name in cfg.suites]

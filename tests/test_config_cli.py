@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import finsq.cli as cli
+from finsq import finsler
 from finsq.config import SUITE_NAMES, ConfigError, load_config, parse_config
 from finsq.registry import MetricResolutionError, builtin_names, resolve_metric
 from finsq.reporting import build_report, dumps, validate_report
@@ -154,20 +155,20 @@ class TestRunSuites:
         assert not cert.passed
         assert cert.detail["residuals"]["finsler-ricci"]["tolerance"] == 1e-30
 
-    def test_thread_parity(self, monkeypatch):
-        cfg = parse_config({"metric": "berwald", "suites": ["cfc", "closed", "douglas"],
-                            "samples": 3})
-        bundle = resolve_metric(cfg.metric)
-        seq = build_report(cfg.echo(), run_suites(bundle, cfg))
-        monkeypatch.setenv("FINSQ_THREADS", "3")
-        par = build_report(cfg.echo(), run_suites(bundle, cfg))
-        assert dumps(seq) == dumps(par)
+    def test_cfc_builds_one_flag_bundle_per_sample(self, monkeypatch):
+        calls = {"spray_jets": 0, "fundamental_tensor": 0}
+        for name in calls:
+            inner = getattr(finsler, name)
 
-    def test_thread_env_rejected(self, monkeypatch):
-        monkeypatch.setenv("FINSQ_THREADS", "two")
-        cfg = parse_config({"metric": "euclidean", "suites": ["pde"], "samples": 3})
-        with pytest.raises(ValueError, match="FINSQ_THREADS"):
-            run_suites(resolve_metric(cfg.metric), cfg)
+            def counted(*args, _name=name, _inner=inner):
+                calls[_name] += 1
+                return _inner(*args)
+
+            monkeypatch.setattr(finsler, name, counted)
+        cfg = parse_config({"metric": "berwald", "suites": ["cfc"], "samples": 3})
+        res = run_suites(resolve_metric(cfg.metric), cfg)
+        assert res[0].passed
+        assert calls == {"spray_jets": 3, "fundamental_tensor": 0}
 
 
 class TestReport:

@@ -115,7 +115,7 @@ class TestSprayCrossCheck:
         M = berwald_square(3)
         x = np.array([0.1, -0.2, 0.25])
         y = np.array([0.7, -0.3, 0.5])
-        G = spray_jets(M, x, y, 1, 2)
+        _, _, G = spray_jets(M, x, y, 1, 2)
         assert np.max(np.abs(np.array([float(g.value) for g in G]) - spray(M, x, y))) <= 1e-14
 
 
@@ -309,6 +309,11 @@ class TestErrorsAndBundles:
             fundamental_tensor(M, x, y)
         with pytest.raises(StrongConvexityError):
             spray_closed_form(M, x, y)
+        with pytest.raises(StrongConvexityError):
+            curvature_data(M, x, y)
+        # at s = 1, g is singular: refused as not convex before the spray solve
+        with pytest.raises(StrongConvexityError):
+            spray(M, np.array([1.0, 0.0]), np.array([1.0, 0.0]))
 
     def test_curvature_data_consistent(self):
         M = berwald_square(3)

@@ -161,7 +161,30 @@ class TestEinsteinCertificates:
         cert = sq.check_einstein_scale_system(al, be, pts)
         assert cert.passed
         assert cert.constant == pytest.approx(1.0, abs=1e-10)
-        assert cert.residuals["gradient"].max <= 1e-9
+        assert cert.residuals["gradient"].max <= 1e-12
+
+    def test_exact_tau_gradient_matches_finite_differences(self):
+        # a non-Einstein pair, so tau varies and the gradient law fails; the
+        # bundle's exact tau_i must still agree with a Richardson central
+        # difference of the bundle's tau
+        al, be = geo.sphere(3), geo.gradient_form(3, 0.4)
+        h = 1e-3
+
+        def tau(p):
+            return sq._tau(geo.beta_derivatives(al, be, p), 3)
+
+        for x in inner_points(philox(67), 4, 3):
+            bd = geo.beta_derivatives(al, be, x)
+            exact = sq._tau_gradient(bd, 3)
+            fd = np.empty(3)
+            for i in range(3):
+                e = np.zeros(3)
+                e[i] = h
+                d1 = (tau(x + e) - tau(x - e)) / (2.0 * h)
+                d2 = (tau(x + 0.5 * e) - tau(x - 0.5 * e)) / h
+                fd[i] = (4.0 * d2 - d1) / 3.0
+            assert np.max(np.abs(exact - fd)) <= 1e-8 * np.max(np.abs(fd))
+            assert np.max(np.abs(exact + 2.0 * tau(x) ** 2 * bd.b_lower)) > 1e-3
 
     def test_pair_certificates(self):
         al, be = berwald_pair()
@@ -192,6 +215,19 @@ class TestEinsteinCertificates:
         cert = sq.check_einstein_square(al, be, pts, b_cap=0.5)
         assert cert.samples_used == 3
         assert cert.samples_skipped == 2
+
+    def test_skipped_point_keeps_directions_paired(self):
+        # the off-chart point owns the zero direction; skipping it must not
+        # hand that direction to the next point
+        al, be = berwald_pair()
+        pts = np.array([[0.99, 0.0, 0.0], [0.1, 0.0, 0.0], [0.0, 0.2, 0.0],
+                        [0.0, 0.0, 0.15]])
+        dirs = np.array([[0.0, 0.0, 0.0], [1.0, 0.2, -0.3], [0.4, 1.0, 0.1],
+                         [-0.2, 0.5, 1.0]])
+        cert = sq.check_einstein_square(al, be, pts, dirs)
+        assert cert.passed
+        assert cert.samples_used == 3
+        assert cert.samples_skipped == 1
 
     def test_insufficient_samples_raises(self):
         al, be = berwald_pair()
