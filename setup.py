@@ -1,28 +1,16 @@
-"""Build hooks for the optional compiled jet kernels.
+"""Build hook for the compiled jet kernels.
 
-The package is pure Python plus one optional Cython extension holding the
-hot convolution kernels.  When Cython or a C compiler is unavailable the
-build falls through to the numpy kernels selected at import time, so the
-extension is strictly an accelerator, never a requirement.
+The package is pure Python plus one hand-written C extension,
+``finsq._jetcore``, holding the hot coefficient kernels.  The extension is
+optional: without a C compiler the build skips it and ``finsq._kernels``
+runs the bit-identical numpy tier instead.  ``-ffp-contract=off`` stops the
+compiler from fusing multiply-adds, which would break that bit identity on
+targets with FMA such as aarch64.
 """
 
 from setuptools import Extension, setup
 
-extensions = []
-try:
-    from Cython.Build import cythonize
-
-    extensions = cythonize(
-        [
-            Extension(
-                "finsq._jetcore",
-                ["src/finsq/_jetcore.pyx"],
-                extra_compile_args=["-O3"],
-            )
-        ],
-        compiler_directives={"language_level": "3"},
-    )
-except ImportError:
-    pass
-
-setup(ext_modules=extensions)
+setup(ext_modules=[
+    Extension("finsq._jetcore", ["src/finsq/_jetcore.c"],
+              extra_compile_args=["-O3", "-ffp-contract=off"], optional=True),
+])

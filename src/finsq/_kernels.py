@@ -1,50 +1,32 @@
-"""Coefficient kernels for jet arithmetic, in three tiers.
+"""Coefficient kernels for jet arithmetic: float64 only, in two tiers.
 
-float64 tier: either the compiled extension (finsq._jetcore) or a numpy
-fallback built on per-degree bincounts.  Both walk the triple tables in the
-same order, so their outputs are bit-identical; which one runs is chosen at
-import time and can be forced with FINSQ_JET_BACKEND=compiled|numpy.
-
-object tier: the same recurrences over arbitrary coefficient rings, written
-as plain Python loops.  This is what makes jets-of-jets work: the outer
-jet's coefficients are inner jets, and the recurrences only ever use ring
-operations on them.
+The compiled tier is the C extension ``finsq._jetcore``; the numpy tier
+below is built on per-degree bincounts.  Both walk the triple tables in the
+same order, so their outputs are bit-identical.  The compiled tier runs
+whenever the extension imports, and the numpy tier otherwise; the numpy
+tier also serves as the reference the bitwise tests compare against.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
 from .jetspace import JetSpace
+
+try:
+    from . import _jetcore  # type: ignore[attr-defined]
+except ImportError:
+    _jetcore = None
 
 
 class JetDomainError(ArithmeticError):
     """Division or root at a leading value where the operation is singular."""
 
 
-_ENV = os.environ.get("FINSQ_JET_BACKEND", "auto").strip().lower()
-_jetcore = None
-if _ENV in ("auto", "compiled"):
-    try:
-        from . import _jetcore  # type: ignore[attr-defined]
-    except ImportError:
-        _jetcore = None
-        if _ENV == "compiled":
-            raise ImportError(
-                "FINSQ_JET_BACKEND=compiled but finsq._jetcore is not built"
-            )
-elif _ENV != "numpy":
-    raise ValueError(f"unrecognized FINSQ_JET_BACKEND value: {_ENV!r}")
-
-
 def backend_name() -> str:
     return "compiled" if _jetcore is not None else "numpy"
-
-
-# -- float64 tier ----------------------------------------------------------
 
 
 def mul_f(space: JetSpace, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -63,7 +45,7 @@ def div_f(space: JetSpace, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     acc = np.zeros(space.size)
     if _jetcore is not None:
         _jetcore.div(a, b, out, acc, space.div_i, space.div_j, space.div_k,
-                     space.div_off, space.deg_off, space.total_cap + 1)
+                     space.div_trip_off, space.deg_off, space.total_cap + 1)
     else:
         np_div(space, a, b, out, acc)
     return out
@@ -76,7 +58,7 @@ def sqrt_f(space: JetSpace, a: np.ndarray) -> np.ndarray:
     acc = np.zeros(space.size)
     if _jetcore is not None:
         _jetcore.sqrt_(a, out, acc, space.sq_i, space.sq_j, space.sq_k,
-                       space.sq_off, space.deg_off, space.total_cap + 1)
+                       space.sq_trip_off, space.deg_off, space.total_cap + 1)
     else:
         np_sqrt(space, a, out, acc)
     return out
@@ -91,7 +73,7 @@ def np_div(space, a, b, out, acc):
     b0 = b[0]
     out[0] = a[0] / b0
     for d in range(1, space.total_cap + 1):
-        t0, t1 = space.div_off[d], space.div_off[d + 1]
+        t0, t1 = space.div_trip_off[d], space.div_trip_off[d + 1]
         if t1 > t0:
             tk = space.div_k[t0:t1]
             acc += np.bincount(tk, weights=b[space.div_j[t0:t1]] * out[space.div_i[t0:t1]],
@@ -105,7 +87,7 @@ def np_sqrt(space, a, out, acc):
     denom = 2.0 * s0
     out[0] = s0
     for d in range(1, space.total_cap + 1):
-        t0, t1 = space.sq_off[d], space.sq_off[d + 1]
+        t0, t1 = space.sq_trip_off[d], space.sq_trip_off[d + 1]
         if t1 > t0:
             acc += np.bincount(space.sq_k[t0:t1],
                                weights=out[space.sq_i[t0:t1]] * out[space.sq_j[t0:t1]],
@@ -113,55 +95,3 @@ def np_sqrt(space, a, out, acc):
         p0, p1 = space.deg_off[d], space.deg_off[d + 1]
         out[p0:p1] = (a[p0:p1] - acc[p0:p1]) / denom
 
-
-# -- object tier -----------------------------------------------------------
-#
-# Coefficients may be any ring scalars (floats mixed with jets).  Zeros are
-# plain 0.0; addition and multiplication with the ring elements promote as
-# needed.  These loops are slow and only carry the nested-jet paths.
-
-
-def mul_o(space: JetSpace, a, b) -> np.ndarray:
-    out = np.zeros(space.size, dtype=object)
-    ti, tj, tk = space.mul_i, space.mul_j, space.mul_k
-    for m in range(len(ti)):
-        out[tk[m]] = out[tk[m]] + a[ti[m]] * b[tj[m]]
-    return out
-
-
-def div_o(space: JetSpace, a, b) -> np.ndarray:
-    b0 = b[0]
-    if _leading_value(b0) == 0.0:
-        raise JetDomainError("jet division by a zero leading value")
-    out = np.zeros(space.size, dtype=object)
-    acc = np.zeros(space.size, dtype=object)
-    out[0] = a[0] / b0
-    ti, tj, tk = space.div_i, space.div_j, space.div_k
-    for d in range(1, space.total_cap + 1):
-        for m in range(space.div_off[d], space.div_off[d + 1]):
-            acc[tk[m]] = acc[tk[m]] + b[tj[m]] * out[ti[m]]
-        for p in range(space.deg_off[d], space.deg_off[d + 1]):
-            out[p] = (a[p] - acc[p]) / b0
-    return out
-
-
-def sqrt_o(space: JetSpace, a) -> np.ndarray:
-    a0 = a[0]
-    s0 = a0.sqrt() if hasattr(a0, "sqrt") else math.sqrt(a0)
-    out = np.zeros(space.size, dtype=object)
-    acc = np.zeros(space.size, dtype=object)
-    out[0] = s0
-    denom = 2.0 * s0
-    ti, tj, tk = space.sq_i, space.sq_j, space.sq_k
-    for d in range(1, space.total_cap + 1):
-        for m in range(space.sq_off[d], space.sq_off[d + 1]):
-            acc[tk[m]] = acc[tk[m]] + out[ti[m]] * out[tj[m]]
-        for p in range(space.deg_off[d], space.deg_off[d + 1]):
-            out[p] = (a[p] - acc[p]) / denom
-    return out
-
-
-def _leading_value(v):
-    while hasattr(v, "coeffs"):
-        v = v.coeffs[0]
-    return float(v)

@@ -22,6 +22,7 @@ from . import construct as con
 from . import square as sq
 from .config import SUITE_NAMES, ConfigError, RunConfig, load_config, parse_config
 from .finsler import (
+    DegenerateFlagError,
     StrongConvexityError,
     f_value,
     flag_curvature,
@@ -29,6 +30,7 @@ from .finsler import (
     ricci,
     spray,
 )
+from .geometry import one_form_norm_sq
 from .registry import MetricResolutionError, builtin_names, resolve_metric
 from .reporting import build_report, dumps
 from .sampling import SamplingError, sample_inputs
@@ -82,9 +84,12 @@ def _parse_metric_arg(text: str):
 
 def _vector(text: str, what: str) -> np.ndarray:
     try:
-        return np.array([float(v) for v in text.split(",")])
+        v = np.array([float(t) for t in text.split(",")])
     except ValueError as exc:
         raise ConfigError(f"--{what}: expected comma-separated numbers") from exc
+    if not np.all(np.isfinite(v)):
+        raise ConfigError(f"--{what}: components must be finite")
+    return v
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -170,6 +175,13 @@ def _cmd_eval(args) -> int:
     n = bundle.dim
     if x.shape != (n,) or y.shape != (n,):
         raise ConfigError(f"--x and --y must have {n} components for {bundle.name}")
+    if not bundle.alpha.domain(x):
+        raise ConfigError(f"--x lies outside the chart of {bundle.name}")
+    b2 = float(one_form_norm_sq(bundle.alpha, bundle.beta, x.tolist()))
+    if not b2 < 1.0:
+        raise ConfigError(f"--x: b^2 = {b2:.6g}, but {bundle.name} needs b < 1")
+    if not np.any(y):
+        raise ConfigError("--y must be nonzero")
     M = bundle.metric
     q = args.quantity
     if q == "F":
@@ -209,7 +221,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         for name in builtin_names():
             print(name)
         return 0
-    except (ConfigError, MetricResolutionError, con.ConstructionError) as exc:
+    except (ConfigError, MetricResolutionError, con.ConstructionError, DegenerateFlagError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (SamplingError, sq.InsufficientSamplesError, StrongConvexityError) as exc:

@@ -27,7 +27,7 @@ import numpy as np
 from . import linalg
 from .geometry import OneFormField, RiemannMetric, Scalar, beta_derivatives, geodesic_spray, one_form_norm_sq
 from .jets import DerivativeSpec, Jet, fd_partial, seed_pair, sqrt
-from .jetspace import xy_space
+from .jetspace import jet_space, xy_space
 
 
 class StrongConvexityError(ArithmeticError):
@@ -44,9 +44,8 @@ class PhiFunction:
 
     kind "plain": fn(s), with optional closed-form derivatives d1 = phi',
     d2 = phi''.  kind "general": fn(b2, s).  In both cases fn must be built
-    from ring operations and sqrt so jets can flow through it; missing plain
-    derivatives are synthesized by one-variable jets over the argument,
-    which works even when s is itself a jet (nested differentiation).
+    from arithmetic and sqrt so jets can flow through it.  A missing plain
+    derivative is taken from a one-variable jet over a float argument s.
     """
 
     name: str
@@ -62,13 +61,13 @@ class PhiFunction:
         return self.fn(b2, s)
 
     def deriv(self, s, order: int = 1):
-        """phi', phi'' for plain kind, at float or jet argument."""
+        """phi', phi'' for plain kind, at a float argument."""
         if self.kind != "plain":
             raise ValueError("scalar derivatives are a plain-kind operation")
         closed = self.d1 if order == 1 else self.d2 if order == 2 else None
         if closed is not None:
             return closed(s)
-        return _nested_derivative(self.fn, s, order)
+        return _jet_derivative(self.fn, s, order)
 
     def partials(self, b2: float, s: float) -> tuple[float, float, float, float, float, float]:
         """(phi, phi_1, phi_2, phi_11, phi_12, phi_22) at a float argument,
@@ -89,13 +88,9 @@ class PhiFunction:
         )
 
 
-def _nested_derivative(fn, s, order):
-    from .jetspace import jet_space
-
-    space = jet_space((0,), (order,))
-    t = Jet.variable(space, 0, s)
-    out = fn(t).partial((order,))
-    return out if isinstance(out, Jet) else float(out)
+def _jet_derivative(fn, s, order):
+    t = Jet.variable(jet_space((0,), (order,)), 0, s)
+    return float(fn(t).partial((order,)))
 
 
 @dataclass(frozen=True)

@@ -6,9 +6,8 @@ of its :class:`~finsq.jetspace.JetSpace`.  Arithmetic on jets implements the
 truncated power-series ring, so the retained coefficients of any composite
 expression are exact to machine rounding: there is no step size anywhere.
 
-Coefficients are float64 by default.  They may instead be arbitrary ring
-elements (in particular other jets over an unrelated direction set), which
-gives nested jets; the recurrences never assume more than ring operations.
+Coefficients are float64, and jets combine only with jets over the same
+direction set and with real scalars; anything else raises ``TypeError``.
 
 Two conventions to keep straight:
 
@@ -65,6 +64,12 @@ def _is_scalar(v) -> bool:
     return isinstance(v, (numbers.Real, np.floating, np.integer))
 
 
+def _real(v) -> float:
+    if _is_scalar(v):
+        return float(v)
+    raise TypeError(f"jets take float64 coefficients; cannot combine with {type(v).__name__}")
+
+
 class Jet:
     __slots__ = ("space", "coeffs")
 
@@ -76,12 +81,8 @@ class Jet:
 
     @classmethod
     def constant(cls, space: JetSpace, value) -> "Jet":
-        if _is_scalar(value):
-            c = np.zeros(space.size)
-            c[0] = float(value)
-        else:
-            c = np.zeros(space.size, dtype=object)
-            c[0] = value
+        c = np.zeros(space.size)
+        c[0] = _real(value)
         return cls(space, c)
 
     @classmethod
@@ -131,9 +132,7 @@ class Jet:
         return Jet(space, self.coeffs[self.space.projection(space)])
 
     def __repr__(self):
-        v = self.value
-        lead = v if _is_scalar(v) else "<nested>"
-        return f"Jet({lead}, caps={self.space.group_caps}, nvars={self.space.nvars})"
+        return f"Jet({self.value}, caps={self.space.group_caps}, nvars={self.space.nvars})"
 
     # -- ring operations -----------------------------------------------------
 
@@ -141,10 +140,7 @@ class Jet:
         if self.space is other.space:
             return self.space, self.coeffs, other.coeffs
         if self.space.var_groups != other.space.var_groups:
-            raise SpaceMismatchError(
-                "jets over different direction sets cannot be combined; "
-                "nest one as a coefficient if that was the intent"
-            )
+            raise SpaceMismatchError("jets over different direction sets cannot be combined")
         target = meet(self.space, other.space)
         return target, self.truncated(target).coeffs, other.truncated(target).coeffs
 
@@ -152,15 +148,8 @@ class Jet:
         if isinstance(other, Jet):
             space, a, b = self._align(other)
             return Jet(space, a + b)
-        if _is_scalar(other):
-            c = self.coeffs.copy()
-            c[0] = c[0] + float(other)
-            return Jet(self.space, c)
-        if other is None or isinstance(other, (str, bytes)):
-            return NotImplemented
-        # unknown ring scalar (e.g. an inner jet): treat as constant term
-        c = self.coeffs.astype(object, copy=True)
-        c[0] = c[0] + other
+        c = self.coeffs.copy()
+        c[0] = c[0] + _real(other)
         return Jet(self.space, c)
 
     __radd__ = __add__
@@ -180,26 +169,16 @@ class Jet:
     def __mul__(self, other):
         if isinstance(other, Jet):
             space, a, b = self._align(other)
-            if a.dtype == np.float64 and b.dtype == np.float64:
-                return Jet(space, _kernels.mul_f(space, a, b))
-            return Jet(space, _kernels.mul_o(space, _as_object(a), _as_object(b)))
-        if _is_scalar(other):
-            return Jet(self.space, self.coeffs * float(other))
-        if other is None or isinstance(other, (str, bytes)):
-            return NotImplemented
-        return Jet(self.space, self.coeffs * other)
+            return Jet(space, _kernels.mul_f(space, a, b))
+        return Jet(self.space, self.coeffs * _real(other))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, Jet):
             space, a, b = self._align(other)
-            if a.dtype == np.float64 and b.dtype == np.float64:
-                return Jet(space, _kernels.div_f(space, a, b))
-            return Jet(space, _kernels.div_o(space, _as_object(a), _as_object(b)))
-        if _is_scalar(other):
-            return Jet(self.space, self.coeffs / float(other))
-        return Jet(self.space, self.coeffs * (1.0 / other))
+            return Jet(space, _kernels.div_f(space, a, b))
+        return Jet(self.space, self.coeffs / _real(other))
 
     def __rtruediv__(self, other):
         num = Jet.constant(self.space, other)
@@ -222,13 +201,7 @@ class Jet:
         return result
 
     def sqrt(self) -> "Jet":
-        if self.coeffs.dtype == np.float64:
-            return Jet(self.space, _kernels.sqrt_f(self.space, self.coeffs))
-        return Jet(self.space, _kernels.sqrt_o(self.space, self.coeffs))
-
-
-def _as_object(arr: np.ndarray) -> np.ndarray:
-    return arr if arr.dtype == object else arr.astype(object)
+        return Jet(self.space, _kernels.sqrt_f(self.space, self.coeffs))
 
 
 def sqrt(v):
@@ -396,7 +369,7 @@ def differentiate_vectorfield(
     jets = []
     for i, v in enumerate(values):
         if isinstance(v, Jet):
-            if v.coeffs.dtype == np.float64 and not np.all(np.isfinite(v.coeffs)):
+            if not np.all(np.isfinite(v.coeffs)):
                 raise FieldEvaluationError(f"component {i} produced non-finite coefficients")
             jets.append(v)
         elif _is_scalar(v):

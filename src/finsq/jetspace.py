@@ -101,8 +101,8 @@ class JetSpace:
         "var_groups", "group_caps", "total_cap", "nvars", "size",
         "indices", "position", "degrees", "deg_off", "fact",
         "mul_i", "mul_j", "mul_k",
-        "div_i", "div_j", "div_k", "div_off",
-        "sq_i", "sq_j", "sq_k", "sq_off",
+        "div_i", "div_j", "div_k", "div_trip_off",
+        "sq_i", "sq_j", "sq_k", "sq_trip_off",
         "_deriv_maps", "_projections",
     )
 
@@ -116,7 +116,7 @@ class JetSpace:
         self.position = {m: p for p, m in enumerate(self.indices)}
         self.degrees = np.array([sum(m) for m in self.indices], dtype=np.int64)
         # graded order makes each degree a contiguous block
-        self.deg_off = np.searchsorted(self.degrees, np.arange(total_cap + 2))
+        self.deg_off = np.searchsorted(self.degrees, np.arange(total_cap + 2)).astype(np.int64)
         self.fact = np.array(
             [math.prod(math.factorial(k) for k in m) for m in self.indices],
             dtype=np.float64,
@@ -157,8 +157,8 @@ class JetSpace:
         self.mul_i, self.mul_j, self.mul_k = as_i32(mi), as_i32(mj), as_i32(mk)
         self.div_i, self.div_j, self.div_k = as_i32(di), as_i32(dj), as_i32(dk)
         self.sq_i, self.sq_j, self.sq_k = as_i32(si), as_i32(sj), as_i32(sk)
-        self.div_off = np.concatenate([[0], np.cumsum(div_counts)]).astype(np.int64)
-        self.sq_off = np.concatenate([[0], np.cumsum(sq_counts)]).astype(np.int64)
+        self.div_trip_off = np.concatenate([[0], np.cumsum(div_counts)]).astype(np.int64)
+        self.sq_trip_off = np.concatenate([[0], np.cumsum(sq_counts)]).astype(np.int64)
 
     # -- derived spaces ----------------------------------------------------
 

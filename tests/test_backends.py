@@ -49,7 +49,7 @@ class TestCompiledMatchesNumpy:
         out_c = np.zeros(space.size)
         acc_c = np.zeros(space.size)
         _jetcore.div(a, b, out_c, acc_c, space.div_i, space.div_j, space.div_k,
-                     space.div_off, space.deg_off, space.total_cap + 1)
+                     space.div_trip_off, space.deg_off, space.total_cap + 1)
         out_n = np.zeros(space.size)
         acc_n = np.zeros(space.size)
         _kernels.np_div(space, a, b, out_n, acc_n)
@@ -60,11 +60,95 @@ class TestCompiledMatchesNumpy:
         out_c = np.zeros(space.size)
         acc_c = np.zeros(space.size)
         _jetcore.sqrt_(a, out_c, acc_c, space.sq_i, space.sq_j, space.sq_k,
-                       space.sq_off, space.deg_off, space.total_cap + 1)
+                       space.sq_trip_off, space.deg_off, space.total_cap + 1)
         out_n = np.zeros(space.size)
         acc_n = np.zeros(space.size)
         _kernels.np_sqrt(space, a, out_n, acc_n)
         assert np.array_equal(out_c, out_n)
+
+
+@pytest.mark.skipif(_jetcore is None, reason="compiled kernels not built")
+class TestCompiledRejectsBadInput:
+    """The extension checks every buffer before its unchecked loops run."""
+
+    SPACE = xy_space(2, 2, 1, 3, 4)
+
+    def _mul_args(self):
+        s = self.SPACE
+        return [np.ones(s.size), np.ones(s.size), np.zeros(s.size), s.mul_i, s.mul_j, s.mul_k]
+
+    def _div_args(self):
+        s = self.SPACE
+        return [np.ones(s.size), np.ones(s.size), np.zeros(s.size), np.zeros(s.size),
+                s.div_i, s.div_j, s.div_k, s.div_trip_off, s.deg_off, s.total_cap + 1]
+
+    def _sqrt_args(self):
+        s = self.SPACE
+        return [np.ones(s.size), np.zeros(s.size), np.zeros(s.size),
+                s.sq_i, s.sq_j, s.sq_k, s.sq_trip_off, s.deg_off, s.total_cap + 1]
+
+    def test_float32_array(self):
+        args = self._mul_args()
+        args[0] = args[0].astype(np.float32)
+        with pytest.raises(TypeError):
+            _jetcore.mul(*args)
+
+    def test_int64_table(self):
+        args = self._mul_args()
+        args[3] = args[3].astype(np.int64)
+        with pytest.raises(TypeError):
+            _jetcore.mul(*args)
+
+    def test_non_contiguous_slice(self):
+        args = self._div_args()
+        args[1] = np.ones(2 * self.SPACE.size)[::2]
+        with pytest.raises(ValueError):
+            _jetcore.div(*args)
+
+    def test_read_only_out(self):
+        for kernel, args, slot in ((_jetcore.mul, self._mul_args(), 2),
+                                   (_jetcore.div, self._div_args(), 3),
+                                   (_jetcore.sqrt_, self._sqrt_args(), 1)):
+            args[slot].flags.writeable = False
+            with pytest.raises(ValueError):
+                kernel(*args)
+
+    @pytest.mark.parametrize("value", [-1, 10**6])
+    def test_table_index_out_of_range(self, value):
+        for kernel, args, slot in ((_jetcore.mul, self._mul_args(), 5),
+                                   (_jetcore.div, self._div_args(), 4),
+                                   (_jetcore.sqrt_, self._sqrt_args(), 4)):
+            args[slot] = args[slot].copy()
+            args[slot][-1] = value
+            with pytest.raises(IndexError):
+                kernel(*args)
+
+    def test_unequal_tables(self):
+        args = self._mul_args()
+        args[5] = args[5][:-1].copy()
+        with pytest.raises(ValueError):
+            _jetcore.mul(*args)
+
+    def test_offsets_not_monotone(self):
+        args = self._div_args()
+        args[7] = args[7].copy()
+        args[7][1] = args[7][2] + 1
+        with pytest.raises(ValueError):
+            _jetcore.div(*args)
+
+    def test_offsets_past_the_arrays(self):
+        args = self._div_args()
+        args[0] = np.ones(3)  # a shorter than the positions the recursion reads
+        with pytest.raises(IndexError):
+            _jetcore.div(*args)
+
+    def test_wrong_argument_count(self):
+        with pytest.raises(TypeError):
+            _jetcore.mul(*self._mul_args()[:-1])
+        with pytest.raises(TypeError):
+            _jetcore.div(*self._div_args(), 0)
+        with pytest.raises(TypeError):
+            _jetcore.sqrt_()
 
 
 class TestNumpyTierAlgebra:
@@ -91,18 +175,3 @@ class TestNumpyTierAlgebra:
         back = np.zeros(space.size)
         _kernels.np_mul(space, out, out, back)
         np.testing.assert_allclose(back, a, rtol=1e-12, atol=1e-12)
-
-    def test_object_tier_matches_float_tier(self, rng):
-        space = xy_space(2, 2, 2, 2)
-        a = _random_coeffs(space, rng)
-        b = _random_coeffs(space, rng, positive_lead=True)
-        got = _kernels.mul_o(space, a.astype(object), b.astype(object)).astype(float)
-        want = _kernels.mul_f(space, a, b)
-        np.testing.assert_allclose(got, want, rtol=0, atol=0)
-        got = _kernels.div_o(space, a.astype(object), b.astype(object)).astype(float)
-        want = _kernels.div_f(space, a, b)
-        np.testing.assert_allclose(got, want, rtol=1e-15, atol=1e-15)
-        b[0] = abs(b[0]) + 0.5
-        got = _kernels.sqrt_o(space, b.astype(object)).astype(float)
-        want = _kernels.sqrt_f(space, b)
-        np.testing.assert_allclose(got, want, rtol=1e-15, atol=1e-15)

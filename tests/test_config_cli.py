@@ -249,6 +249,11 @@ class TestCommandLine:
         ["eval", "--metric", "euclidean", "--x", "a,b,c", "--y", "1,0,0"],
         ["eval", "--metric", "sphere", "--x", "0.1,0.2,0.3", "--y", "1,0,0",
          "--quantity", "flag"],
+        ["eval", "--metric", "berwald", "--x", "0,0,0,0", "--y", "0,0,0,0"],
+        ["eval", "--metric", "berwald", "--x", "0,0,0,0", "--y", "1,0,0,0",
+         "--u", "2,0,0,0", "--quantity", "flag"],
+        ["eval", "--metric", "berwald", "--x", "1.5,0,0,0", "--y", "1,0,0,0"],
+        ["eval", "--metric", "randers-grad", "--x", "3,0,0", "--y", "1,0,0"],
         ["construct", "--factor", "sphere", "--c", "0"],
         ["construct", "--factor", "flat", "--c", "1.0"],
     ])
@@ -257,6 +262,7 @@ class TestCommandLine:
         cap = capsys.readouterr()
         assert code == 2
         assert "error:" in cap.err
+        assert "Traceback" not in cap.err
 
     def test_unknown_subcommand_exit_two(self, capsys):
         assert cli.main(["frobnicate"]) == 2

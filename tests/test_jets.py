@@ -139,29 +139,6 @@ class TestRingIdentities:
                 np.testing.assert_allclose(lhs.coeffs, rhs.coeffs, rtol=1e-12, atol=1e-12)
 
 
-class TestNesting:
-    def test_flat_order4_matches_nested_two_by_two(self):
-        cases = [
-            lambda t: (1.0 + t + 0.3 * t * t).sqrt(),
-            lambda t: (1.0 + t) / (2.0 - t),
-            lambda t: ((0.5 * t + t * t) ** 3 + 2.0 * t + 1.0) * (1.0 - t),
-        ]
-        inner_space = jet_space((0,), (2,))
-        outer_space = jet_space((0,), (2,))
-        for fn in cases:
-            flat = fn(one_var(4))
-            inner = Jet.variable(inner_space, 0, 0.0)
-            outer = Jet.variable(outer_space, 0, inner)
-            nested = fn(outer)
-            # d^4/dt^4 via mixed d^2_outer d^2_inner of f(u + v)
-            d4_nested = float(nested.partial((2,)).partial((2,)))
-            d4_flat = float(flat.partial((4,)))
-            assert d4_nested == pytest.approx(d4_flat, rel=1e-12, abs=1e-12)
-            d2_nested = float(nested.partial((1,)).partial((1,)))
-            d2_flat = float(flat.partial((2,)))
-            assert d2_nested == pytest.approx(d2_flat, rel=1e-12, abs=1e-12)
-
-
 def smooth_field(X, Y):
     # strictly positive inside the sampled box, built from supported ops
     q = (2.0 + X[0]) * Y[0] * Y[0] + (1.5 + X[0] * X[1]) * Y[1] * Y[1] + 0.3 * Y[0] * Y[1]
@@ -240,6 +217,18 @@ class TestErrorContract:
         b = Jet.variable(space_b, 0, 0.0)
         with pytest.raises(SpaceMismatchError):
             _ = a + b
+
+    def test_non_float_coefficients_rejected(self):
+        t = one_var(2)
+        space = jet_space((0,), (2,))
+        with pytest.raises(TypeError):
+            Jet.constant(space, t)
+        with pytest.raises(TypeError):
+            Jet.variable(space, 0, t)
+        for other in (None, "1", 1j):
+            for op in (lambda: t + other, lambda: t * other, lambda: t / other):
+                with pytest.raises(TypeError):
+                    op()
 
     def test_sqrt_domain(self):
         t = one_var(2)
