@@ -20,7 +20,7 @@ import numpy as np
 
 from . import construct as con
 from . import square as sq
-from .config import SUITE_NAMES, ConfigError, RunConfig, load_config, parse_config
+from .config import SUITE_NAMES, ConfigError, load_config, parse_config
 from .finsler import (
     DegenerateFlagError,
     StrongConvexityError,
@@ -101,31 +101,16 @@ def _emit(text: str, out: Optional[str]) -> None:
 
 
 def _cmd_check(args) -> int:
-    if args.config:
-        cfg = load_config(args.config)
-        overrides = {}
-        if args.metric is not None:
-            overrides["metric"] = _parse_metric_arg(args.metric)
-        if args.suites is not None:
-            overrides["suites"] = tuple(args.suites.split(","))
-        if args.samples is not None:
-            overrides["samples"] = args.samples
-        if args.seed is not None:
-            overrides["seed"] = args.seed
-        if overrides:
-            doc = cfg.echo()
-            doc.update(overrides)
-            doc["suites"] = list(doc["suites"])
-            cfg = parse_config(doc)
-    else:
-        doc = {"metric": _parse_metric_arg(args.metric or "berwald")}
-        if args.suites is not None:
-            doc["suites"] = args.suites.split(",")
-        if args.samples is not None:
-            doc["samples"] = args.samples
-        if args.seed is not None:
-            doc["seed"] = args.seed
-        cfg = parse_config(doc)
+    doc = load_config(args.config).echo() if args.config else {"metric": "berwald"}
+    if args.metric is not None:
+        doc["metric"] = _parse_metric_arg(args.metric)
+    if args.suites is not None:
+        doc["suites"] = args.suites.split(",")
+    if args.samples is not None:
+        doc["samples"] = args.samples
+    if args.seed is not None:
+        doc["seed"] = args.seed
+    cfg = parse_config(doc)
     bundle = resolve_metric(cfg.metric)
     results = run_suites(bundle, cfg)
     report = build_report(cfg.echo(), results)

@@ -19,7 +19,7 @@ numerically and refuses to hand out unverified data.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -136,39 +136,19 @@ def build_warped(spec: WarpedProductSpec) -> tuple[RiemannMetric, OneFormField]:
     The factor Einstein condition is verified before anything is returned.
     """
     verify_factor(spec.factor, spec.c)
-    m = spec.factor.dim
-    n = m + 1
-    fbox = spec.factor.sample_box or tuple((-0.6, 0.6) for _ in range(m))
-    box = (tuple(spec.t_range),) + tuple(fbox)
-
-    def acomp(X):
-        h = spec.h(X[0])
-        h2 = h * h
-        Af = spec.factor.components(X[1:])
-        rows = [[0.0] * n for _ in range(n)]
-        rows[0][0] = 1.0
-        for i in range(m):
-            for j in range(m):
-                rows[i + 1][j + 1] = h2 * Af[i][j]
-        return rows
+    n = spec.factor.dim + 1
 
     def bcomp(X):
         out = [0.0] * n
         out[0] = spec.h(X[0])
         return out
 
-    def domain(x):
-        t = float(x[0])
-        if not spec.t_range[0] <= t <= spec.t_range[1]:
-            return False
-        return spec.factor.domain(np.asarray(x[1:], float))
-
     def norm2(X):
         h = spec.h(X[0])
         return h * h
 
-    w = RiemannMetric(n, acomp, f"warped({spec.factor.name}, c={spec.c}, d={spec.d})",
-                      domain, box)
+    w = replace(warped_metric_generic(spec.factor, spec.h, spec.t_range),
+                name=f"warped({spec.factor.name}, c={spec.c}, d={spec.d})")
     z = OneFormField(n, bcomp, "warp-form", norm_squared=norm2)
     return w, z
 
@@ -255,11 +235,9 @@ class ConstructedMetric:
     expected_flag: float = 0.0
 
 
-def construct_einstein_square(spec: WarpedProductSpec, name: str = "") -> ConstructedMetric:
-    """Build and package an Einstein square metric from a warped spec."""
-    w, z = build_warped(spec)
+def _package(w: RiemannMetric, z: OneFormField, label: str, c: float) -> ConstructedMetric:
+    """Recover (a, b) from the reduced pair and write F over both."""
     alpha, beta = from_reduced_pair(w, z)
-    label = name or f"einstein-square[{w.name}]"
     return ConstructedMetric(
         name=label,
         alpha=alpha,
@@ -268,8 +246,14 @@ def construct_einstein_square(spec: WarpedProductSpec, name: str = "") -> Constr
         reduced_form=z,
         metric=square_metric(alpha, beta, label),
         metric_reduced=square_from_reduced_pair(w, z, label + "/reduced"),
-        expected_constant=spec.c,
+        expected_constant=c,
     )
+
+
+def construct_einstein_square(spec: WarpedProductSpec, name: str = "") -> ConstructedMetric:
+    """Build and package an Einstein square metric from a warped spec."""
+    w, z = build_warped(spec)
+    return _package(w, z, name or f"einstein-square[{w.name}]", spec.c)
 
 
 def berwald_family(n: int, c: float = 1.0, q: Optional[np.ndarray] = None,
@@ -309,15 +293,4 @@ def berwald_family(n: int, c: float = 1.0, q: Optional[np.ndarray] = None,
         box = tuple((float(-q[i] / c - r), float(-q[i] / c + r)) for i in range(n))
     z = OneFormField(n, bcomp, "linear-form", norm_squared=norm2)
     w = RiemannMetric(n, w.components, w.name, domain, box or None)
-    alpha, beta = from_reduced_pair(w, z)
-    label = name or f"berwald-family(n={n}, c={c})"
-    return ConstructedMetric(
-        name=label,
-        alpha=alpha,
-        beta=beta,
-        reduced_metric=w,
-        reduced_form=z,
-        metric=square_metric(alpha, beta, label),
-        metric_reduced=square_from_reduced_pair(w, z, label + "/reduced"),
-        expected_constant=c,
-    )
+    return _package(w, z, name or f"berwald-family(n={n}, c={c})", c)

@@ -90,7 +90,9 @@ class PhiFunction:
 
 def _jet_derivative(fn, s, order):
     t = Jet.variable(jet_space((0,), (order,)), 0, s)
-    return float(fn(t).partial((order,)))
+    p = fn(t)
+    # a profile that ignores its argument returns a plain number
+    return float(p.partial((order,))) if isinstance(p, Jet) else 0.0
 
 
 @dataclass(frozen=True)

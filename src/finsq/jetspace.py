@@ -205,13 +205,6 @@ class JetSpace:
         self._projections[id(sub)] = pos
         return pos
 
-    def contains(self, other: "JetSpace") -> bool:
-        return (
-            self.var_groups == other.var_groups
-            and all(a >= b for a, b in zip(self.group_caps, other.group_caps))
-            and self.total_cap >= other.total_cap
-        )
-
     def __repr__(self):
         return (
             f"JetSpace(nvars={self.nvars}, caps={self.group_caps}, "

@@ -2,16 +2,13 @@
 
 Charts are low dimensional (n <= 6 in practice), so plain Gaussian
 elimination with partial pivoting is all that is needed.  Pivoting compares
-leading values: for a jet that is the value of its constant term, recursing
-through nesting levels, which is the number whose magnitude governs
-invertibility of the truncated series.
+leading values: for a jet that is the value of its constant term, the
+number whose magnitude governs invertibility of the truncated series.
 """
 
 from __future__ import annotations
 
 import numbers
-
-import numpy as np
 
 
 class SingularMatrixError(ArithmeticError):
@@ -19,23 +16,16 @@ class SingularMatrixError(ArithmeticError):
 
 
 def leading_value(v) -> float:
-    while hasattr(v, "coeffs"):
-        v = v.coeffs[0]
-    return float(v)
+    return float(v.coeffs[0]) if hasattr(v, "coeffs") else float(v)
 
 
 def solve(A, rhs):
     """Solve A v = rhs for one right-hand-side vector of ring scalars."""
-    return solve_columns(A, [rhs])[0]
-
-
-def solve_columns(A, columns):
-    """Solve A v = c for several column vectors sharing the factorization."""
     n = len(A)
     M = [list(row) for row in A]
-    cols = [list(c) for c in columns]
-    if any(len(row) != n for row in M) or any(len(c) != n for c in cols):
-        raise ValueError("matrix and right-hand sides must agree in size")
+    c = list(rhs)
+    if any(len(row) != n for row in M) or len(c) != n:
+        raise ValueError("matrix and right-hand side must agree in size")
     for col in range(n):
         piv, piv_mag = col, abs(leading_value(M[col][col]))
         col_max = piv_mag
@@ -48,8 +38,7 @@ def solve_columns(A, columns):
             raise SingularMatrixError(f"pivot {piv_mag:.3e} in column {col}")
         if piv != col:
             M[col], M[piv] = M[piv], M[col]
-            for c in cols:
-                c[col], c[piv] = c[piv], c[col]
+            c[col], c[piv] = c[piv], c[col]
         inv_p = 1.0 / M[col][col] if isinstance(M[col][col], numbers.Real) else None
         for r in range(col + 1, n):
             lead = leading_value(M[r][col])
@@ -58,27 +47,14 @@ def solve_columns(A, columns):
             f = M[r][col] * inv_p if inv_p is not None else M[r][col] / M[col][col]
             for c2 in range(col + 1, n):
                 M[r][c2] = M[r][c2] - f * M[col][c2]
-            for c in cols:
-                c[r] = c[r] - f * c[col]
-    out = []
-    for c in cols:
-        v = [None] * n
-        for r in range(n - 1, -1, -1):
-            acc = c[r]
-            for c2 in range(r + 1, n):
-                acc = acc - M[r][c2] * v[c2]
-            v[r] = acc / M[r][r]
-        out.append(v)
-    return out
-
-
-def inverse(A):
-    """Matrix inverse as nested lists, generic over ring scalars."""
-    n = len(A)
-    eye = [[1.0 if i == j else 0.0 for i in range(n)] for j in range(n)]
-    cols = solve_columns(A, eye)
-    # solve returned inverse columns; transpose back to rows
-    return [[cols[j][i] for j in range(n)] for i in range(n)]
+            c[r] = c[r] - f * c[col]
+    v = [None] * n
+    for r in range(n - 1, -1, -1):
+        acc = c[r]
+        for c2 in range(r + 1, n):
+            acc = acc - M[r][c2] * v[c2]
+        v[r] = acc / M[r][r]
+    return v
 
 
 def dot(u, v):
@@ -98,6 +74,3 @@ def quadratic_form(A, u, v=None):
         v = u
     return dot(matvec(A, v), u)
 
-
-def sym_max_abs(A) -> float:
-    return float(np.max(np.abs(np.asarray(A, dtype=float))))

@@ -298,26 +298,59 @@ class InsufficientSamplesError(ValueError):
     """Fewer than two usable samples survived the domain filters."""
 
 
-_SQUARE_TOL = {
-    "covariant": 1e-8,
-    "alpha-ricci": 1e-8,
-    "finsler-ricci": 1e-6,
-    "constancy": 1e-8,
+# Default tolerance of each residual family, keyed by certificate.
+TOLERANCES = {
+    "einstein-square": {"covariant": 1e-8, "alpha-ricci": 1e-8, "finsler-ricci": 1e-6},
+    "einstein-scale": {"covariant": 1e-8, "gradient": 1e-8, "constancy": 1e-8},
+    "closedness": {"skew": 1e-10, "skew-contraction": 1e-10},
+    "conformal-pair": {"covariant": 1e-8, "einstein": 1e-8},
+    "reduced-pair": {"homothety": 1e-8, "ricci-flat": 1e-8},
+    "spray-deform": {"identity": 1e-7, "precondition": 1e-8},
 }
 
 
-def _default_directions(points: np.ndarray) -> np.ndarray:
-    rng = np.random.Generator(np.random.Philox(key=97))
-    return rng.uniform(-1.0, 1.0, points.shape)
+def _directions(points: np.ndarray, directions) -> np.ndarray:
+    """One direction per point: the given rows, or a fixed Philox draw."""
+    if directions is None:
+        rng = np.random.Generator(np.random.Philox(key=97))
+        directions = rng.uniform(-1.0, 1.0, points.shape)
+    return np.asarray(directions, float)
 
 
-def _usable(alpha, beta, points, b_cap) -> tuple[list[int], int]:
-    """Indices of the points inside the chart with b < b_cap, and the number
-    skipped; an index also selects the point's own direction."""
+def _bundles(alpha, beta, points, b_cap) -> tuple[list[int], int, list]:
+    """Indices of the points inside the chart with b < b_cap, the number
+    skipped, and the point bundle of each used point; an index also selects
+    the point's own direction."""
     used = [k for k, x in enumerate(points)
             if alpha.domain(x)
             and float(one_form_norm_sq(alpha, beta, [float(v) for v in x])) < b_cap * b_cap]
-    return used, len(points) - len(used)
+    if len(used) < 2:
+        raise InsufficientSamplesError(
+            f"{alpha.name}: only {len(used)} usable samples out of {len(points)}")
+    return used, len(points) - len(used), [beta_derivatives(alpha, beta, points[k]) for k in used]
+
+
+def _fit(data, shapes) -> float:
+    """Least-squares c in b_{i|j} = c * shape over all used points."""
+    num = sum(float(np.sum(bd.bij * m)) for bd, m in zip(data, shapes))
+    den = sum(float(np.sum(m * m)) for m in shapes)
+    return num / den if den > 1e-30 else 0.0
+
+
+def _relative(lhs, rhs):
+    """max|lhs - rhs| / (1 + max|lhs| + max|rhs|)."""
+    return np.max(np.abs(lhs - rhs)) / (1.0 + np.max(np.abs(lhs)) + np.max(np.abs(rhs)))
+
+
+def _certificate(name: str, kind: str, constant: float, residuals: dict, used, skipped: int,
+                 overrides: Optional[dict] = None) -> EinsteinCertificate:
+    """Package per-family residual lists, each judged against its tolerance in
+    TOLERANCES[kind] unless overrides replaces it."""
+    tol = {**TOLERANCES[kind], **(overrides or {})}
+    return EinsteinCertificate(
+        name=name, constant=constant,
+        residuals={fam: residual_stat(fam, vals, tol[fam]) for fam, vals in residuals.items()},
+        samples_used=len(used), samples_skipped=skipped)
 
 
 def _covariant_shape(bd) -> np.ndarray:
@@ -336,44 +369,25 @@ def check_einstein_square(alpha: RiemannMetric, beta: OneFormField, points,
     flag per sample.  Samples outside the chart or with b >= b_cap are
     skipped and counted.
     """
-    tol = dict(_SQUARE_TOL)
-    tol.update(tolerances or {})
     points = np.asarray(points, float)
-    if directions is None:
-        directions = _default_directions(points)
-    used, skipped = _usable(alpha, beta, points, b_cap)
-    if len(used) < 2:
-        raise InsufficientSamplesError(
-            f"{alpha.name}: only {len(used)} usable samples out of {len(points)}")
-
+    dirs = _directions(points, directions)
+    used, skipped, data = _bundles(alpha, beta, points, b_cap)
     n = alpha.dim
-    data = [beta_derivatives(alpha, beta, points[k]) for k in used]
     shapes = [_covariant_shape(bd) for bd in data]
-    num = sum(float(np.sum(bd.bij * m)) for bd, m in zip(data, shapes))
-    den = sum(float(np.sum(m * m)) for m in shapes)
-    c = num / den if den > 1e-30 else 0.0
+    c = _fit(data, shapes)
 
     cov, aric, fric = [], [], []
     metric = square_metric(alpha, beta)
-    dirs = np.asarray(directions, float)
     for k, bd, m in zip(used, data, shapes):
-        scale = 1.0 + np.max(np.abs(bd.bij)) + abs(c) * np.max(np.abs(m))
-        cov.append(np.max(np.abs(bd.bij - c * m)) / scale)
-        ric = bd.ricci
+        cov.append(_relative(bd.bij, c * m))
         coef = c * c * (1.0 - bd.b2) ** 2
         expect = coef * (-(5.0 * (n - 1) + 2.0 * (2 * n - 5) * bd.b2) * bd.a
                          + 6.0 * (n - 2) * np.outer(bd.b_lower, bd.b_lower))
-        aric.append(np.max(np.abs(ric - expect)) / (1.0 + np.max(np.abs(ric)) + np.max(np.abs(expect))))
+        aric.append(_relative(bd.ricci, expect))
         fric.append(einstein_residual(metric, points[k], dirs[k], 0.0))
-
-    residuals = {
-        "covariant": residual_stat("covariant", cov, tol["covariant"]),
-        "alpha-ricci": residual_stat("alpha-ricci", aric, tol["alpha-ricci"]),
-        "finsler-ricci": residual_stat("finsler-ricci", fric, tol["finsler-ricci"]),
-    }
-    return EinsteinCertificate(name=f"einstein-square({alpha.name})", constant=c,
-                               residuals=residuals, samples_used=len(used),
-                               samples_skipped=skipped)
+    return _certificate(f"einstein-square({alpha.name})", "einstein-square", c,
+                        {"covariant": cov, "alpha-ricci": aric, "finsler-ricci": fric},
+                        used, skipped, tolerances)
 
 
 def _tau(bd, n: int) -> float:
@@ -403,63 +417,43 @@ def check_einstein_scale_system(alpha: RiemannMetric, beta: OneFormField, points
     second-order point bundle), and constancy of c = tau / (1-b^2) across
     samples.
     """
-    tol = {"covariant": 1e-8, "gradient": 1e-8, "constancy": 1e-8}
-    tol.update(tolerances or {})
     points = np.asarray(points, float)
-    used, skipped = _usable(alpha, beta, points, b_cap)
-    if len(used) < 2:
-        raise InsufficientSamplesError(
-            f"{alpha.name}: only {len(used)} usable samples out of {len(points)}")
+    used, skipped, data = _bundles(alpha, beta, points, b_cap)
     n = alpha.dim
 
     cov, grad, consts = [], [], []
-    for k in used:
-        bd = beta_derivatives(alpha, beta, points[k])
+    for bd in data:
         t = _tau(bd, n)
         m = (1.0 + 2.0 * bd.b2) * bd.a - 3.0 * np.outer(bd.b_lower, bd.b_lower)
-        rhs = t * m
-        scale = 1.0 + np.max(np.abs(bd.bij)) + np.max(np.abs(rhs))
-        cov.append(np.max(np.abs(bd.bij - rhs)) / scale)
+        cov.append(_relative(bd.bij, t * m))
         for ti, bi in zip(_tau_gradient(bd, n), bd.b_lower):
             grad.append(abs(ti + 2.0 * t * t * bi) / (1.0 + abs(ti)))
         consts.append(t / (1.0 - bd.b2))
     cmean = float(np.mean(consts))
     cdev = [abs(v - cmean) / (1.0 + abs(cmean)) for v in consts]
-
-    residuals = {
-        "covariant": residual_stat("covariant", cov, tol["covariant"]),
-        "gradient": residual_stat("gradient", grad, tol["gradient"]),
-        "constancy": residual_stat("constancy", cdev, tol["constancy"]),
-    }
-    return EinsteinCertificate(name=f"einstein-scale({alpha.name})", constant=cmean,
-                               residuals=residuals, samples_used=len(used),
-                               samples_skipped=skipped)
+    return _certificate(f"einstein-scale({alpha.name})", "einstein-scale", cmean,
+                        {"covariant": cov, "gradient": grad, "constancy": cdev},
+                        used, skipped, tolerances)
 
 
 def check_closedness(alpha: RiemannMetric, beta: OneFormField, points,
-                     directions=None, tolerance: float = 1e-10) -> EinsteinCertificate:
-    """beta must be closed: s_ij = 0, hence s^k_0 s_{k0} = 0 along any y."""
+                     directions=None, tolerance: Optional[float] = None) -> EinsteinCertificate:
+    """beta must be closed: s_ij = 0, hence s^k_0 s_{k0} = 0 along any y.
+
+    A given tolerance replaces the default of both residual families.
+    """
     points = np.asarray(points, float)
-    if directions is None:
-        directions = _default_directions(points)
-    dirs = np.asarray(directions, float)
-    used, skipped = _usable(alpha, beta, points, b_cap=1.0)
-    if len(used) < 2:
-        raise InsufficientSamplesError(f"{alpha.name}: too few usable samples")
+    dirs = _directions(points, directions)
+    used, skipped, data = _bundles(alpha, beta, points, b_cap=1.0)
     skew, contr = [], []
-    for k in used:
-        bd = beta_derivatives(alpha, beta, points[k])
+    for k, bd in zip(used, data):
         skew.append(np.max(np.abs(bd.s)) / (1.0 + np.max(np.abs(bd.bij))))
         y = dirs[k]
         s_low = bd.s0_lower(y)
         contr.append(abs(float(bd.s0_upper(y) @ s_low)) / (1.0 + float(y @ bd.a @ y)))
-    residuals = {
-        "skew": residual_stat("skew", skew, tolerance),
-        "skew-contraction": residual_stat("skew-contraction", contr, tolerance),
-    }
-    return EinsteinCertificate(name=f"closedness({beta.name})", constant=0.0,
-                               residuals=residuals, samples_used=len(used),
-                               samples_skipped=skipped)
+    overrides = None if tolerance is None else dict.fromkeys(TOLERANCES["closedness"], tolerance)
+    return _certificate(f"closedness({beta.name})", "closedness", 0.0,
+                        {"skew": skew, "skew-contraction": contr}, used, skipped, overrides)
 
 
 def check_conformal_pair(alpha_c: RiemannMetric, beta_c: OneFormField, points,
@@ -469,64 +463,36 @@ def check_conformal_pair(alpha_c: RiemannMetric, beta_c: OneFormField, points,
     Fits c to v_{i|j} = c sqrt(1 + v^2) u_ij, then checks that equation and
     Ric(u) = -(n-1) c^2 u (an Einstein metric of negative constant -c^2).
     """
-    tol = {"covariant": 1e-8, "einstein": 1e-8}
-    tol.update(tolerances or {})
     points = np.asarray(points, float)
-    used, skipped = _usable(alpha_c, beta_c, points, b_cap=np.inf)
-    if len(used) < 2:
-        raise InsufficientSamplesError(f"{alpha_c.name}: too few usable samples")
+    used, skipped, data = _bundles(alpha_c, beta_c, points, b_cap=np.inf)
     n = alpha_c.dim
-    data = [beta_derivatives(alpha_c, beta_c, points[k]) for k in used]
     shapes = [math.sqrt(1.0 + bd.b2) * bd.a for bd in data]
-    num = sum(float(np.sum(bd.bij * m)) for bd, m in zip(data, shapes))
-    den = sum(float(np.sum(m * m)) for m in shapes)
-    c = num / den if den > 1e-30 else 0.0
+    c = _fit(data, shapes)
     cov, ein = [], []
     for bd, m in zip(data, shapes):
-        scale = 1.0 + np.max(np.abs(bd.bij)) + abs(c) * np.max(np.abs(m))
-        cov.append(np.max(np.abs(bd.bij - c * m)) / scale)
-        expect = -(n - 1) * c * c * bd.a
-        ein.append(np.max(np.abs(bd.ricci - expect))
-                   / (1.0 + np.max(np.abs(bd.ricci)) + np.max(np.abs(expect))))
-    residuals = {
-        "covariant": residual_stat("covariant", cov, tol["covariant"]),
-        "einstein": residual_stat("einstein", ein, tol["einstein"]),
-    }
-    return EinsteinCertificate(name=f"conformal-pair({alpha_c.name})", constant=c,
-                               residuals=residuals, samples_used=len(used),
-                               samples_skipped=skipped)
+        cov.append(_relative(bd.bij, c * m))
+        ein.append(_relative(bd.ricci, -(n - 1) * c * c * bd.a))
+    return _certificate(f"conformal-pair({alpha_c.name})", "conformal-pair", c,
+                        {"covariant": cov, "einstein": ein}, used, skipped, tolerances)
 
 
 def check_reduced_pair(alpha_r: RiemannMetric, beta_r: OneFormField, points,
                        tolerances: Optional[dict] = None) -> EinsteinCertificate:
     """Einstein conditions in reduced-pair form: Ric(w) = 0, z_{i|j} = c w_ij."""
-    tol = {"homothety": 1e-8, "ricci-flat": 1e-8}
-    tol.update(tolerances or {})
     points = np.asarray(points, float)
-    used, skipped = _usable(alpha_r, beta_r, points, b_cap=np.inf)
-    if len(used) < 2:
-        raise InsufficientSamplesError(f"{alpha_r.name}: too few usable samples")
-    data = [beta_derivatives(alpha_r, beta_r, points[k]) for k in used]
-    num = sum(float(np.sum(bd.bij * bd.a)) for bd in data)
-    den = sum(float(np.sum(bd.a * bd.a)) for bd in data)
-    c = num / den if den > 1e-30 else 0.0
+    used, skipped, data = _bundles(alpha_r, beta_r, points, b_cap=np.inf)
+    c = _fit(data, [bd.a for bd in data])
     hom, rflat = [], []
     for bd in data:
-        scale = 1.0 + np.max(np.abs(bd.bij)) + abs(c) * np.max(np.abs(bd.a))
-        hom.append(np.max(np.abs(bd.bij - c * bd.a)) / scale)
+        hom.append(_relative(bd.bij, c * bd.a))
         rflat.append(np.max(np.abs(bd.ricci)) / (1.0 + np.max(np.abs(bd.a))))
-    residuals = {
-        "homothety": residual_stat("homothety", hom, tol["homothety"]),
-        "ricci-flat": residual_stat("ricci-flat", rflat, tol["ricci-flat"]),
-    }
-    return EinsteinCertificate(name=f"reduced-pair({alpha_r.name})", constant=c,
-                               residuals=residuals, samples_used=len(used),
-                               samples_skipped=skipped)
+    return _certificate(f"reduced-pair({alpha_r.name})", "reduced-pair", c,
+                        {"homothety": hom, "ricci-flat": rflat}, used, skipped, tolerances)
 
 
 def deformed_spray_residual(alpha: RiemannMetric, beta: OneFormField, points,
                             directions=None, kind: str = "conformal",
-                            tolerance: float = 1e-7) -> EinsteinCertificate:
+                            tolerance: Optional[float] = None) -> EinsteinCertificate:
     """Geodesic sprays of the deformed pair against the closed correction.
 
     When b_{i|j} = tau(x) [(1+2b^2) a - 3 b b] holds (tau from the trace),
@@ -538,6 +504,7 @@ def deformed_spray_residual(alpha: RiemannMetric, beta: OneFormField, points,
 
     Reports the identity residual together with the precondition residual;
     the identity is only meaningful where the precondition is satisfied.
+    A given tolerance replaces the default of the identity residual.
     """
     if kind == "conformal":
         pair = to_conformal_pair(alpha, beta)
@@ -548,34 +515,24 @@ def deformed_spray_residual(alpha: RiemannMetric, beta: OneFormField, points,
     else:
         raise ValueError(f"unknown deformation kind {kind!r}")
     points = np.asarray(points, float)
-    if directions is None:
-        directions = _default_directions(points)
-    dirs = np.asarray(directions, float)
-    used, skipped = _usable(alpha, beta, points, b_cap=0.999)
-    if len(used) < 2:
-        raise InsufficientSamplesError(f"{alpha.name}: too few usable samples")
+    dirs = _directions(points, directions)
+    used, skipped, data = _bundles(alpha, beta, points, b_cap=0.999)
     n = alpha.dim
     ident, precond = [], []
-    for k in used:
+    for k, bd in zip(used, data):
         x, y = points[k], dirs[k]
-        bd = beta_derivatives(alpha, beta, x)
         t = _tau(bd, n)
         m = _covariant_shape(bd) / (1.0 - bd.b2)
-        scale = 1.0 + np.max(np.abs(bd.bij)) + abs(t) * np.max(np.abs(m))
-        precond.append(np.max(np.abs(bd.bij - t * m)) / scale)
+        precond.append(_relative(bd.bij, t * m))
         g0 = geodesic_spray(alpha, x, y)
         gd = geodesic_spray(pair[0], x, y)
         a2 = float(y @ bd.a @ y)
         be = float(bd.b_lower @ y)
         rhs = g0 + t * (a2 * bd.b_upper - coef * be * y)
         ident.append(np.max(np.abs(gd - rhs)) / (1.0 + np.max(np.abs(gd))))
-    residuals = {
-        "identity": residual_stat("identity", ident, tolerance),
-        "precondition": residual_stat("precondition", precond, 1e-8),
-    }
-    return EinsteinCertificate(name=f"spray-{kind}({alpha.name})", constant=0.0,
-                               residuals=residuals, samples_used=len(used),
-                               samples_skipped=skipped)
+    return _certificate(f"spray-{kind}({alpha.name})", "spray-deform", 0.0,
+                        {"identity": ident, "precondition": precond}, used, skipped,
+                        None if tolerance is None else {"identity": tolerance})
 
 
 def norm_identity_residuals(alpha: RiemannMetric, beta: OneFormField, x) -> dict[str, float]:

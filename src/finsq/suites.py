@@ -61,15 +61,15 @@ def _cert_entry(name: str, cert, extra_passed: bool = True, extra: dict | None =
 
 
 def _suite_einstein(ctx: SuiteContext):
-    checks, skipped = [], []
     b = ctx.bundle
     pts, dirs = ctx.samples.points, ctx.samples.directions
     if b.square_data:
+        # An Einstein square metric in dimension >= 3 is Ricci-flat, and the
+        # certificate's finsler-ricci family checks Ric = 0 at every sample:
+        # for square data it is the Finsler Einstein check.
         cert = sq.check_einstein_square(
             b.alpha, b.beta, pts, dirs,
-            tolerances=ctx.cert_tols("einstein/certificate",
-                                     {"covariant": 1e-8, "alpha-ricci": 1e-8,
-                                      "finsler-ricci": 1e-6}),
+            tolerances=ctx.cert_tols("einstein/certificate", sq.TOLERANCES["einstein-square"]),
             b_cap=ctx.config.b_cap)
         extra_ok = True
         extra = {}
@@ -79,24 +79,20 @@ def _suite_einstein(ctx: SuiteContext):
             extra = {"expected_constant": b.expected_characterization_constant,
                      "constant_deviation": dev}
             extra_ok = dev <= ctol
-        checks.append(_cert_entry("einstein/certificate", cert, extra_ok, extra))
         scale = sq.check_einstein_scale_system(
             b.alpha, b.beta, pts,
-            tolerances=ctx.cert_tols("einstein/scale-certificate",
-                                     {"covariant": 1e-8, "gradient": 1e-8, "constancy": 1e-8}),
+            tolerances=ctx.cert_tols("einstein/scale-certificate", sq.TOLERANCES["einstein-scale"]),
             b_cap=ctx.config.b_cap)
-        checks.append(_cert_entry("einstein/scale-certificate", scale))
-    else:
-        skipped.append("certificates need square alpha-beta data")
-    if b.expected_einstein_constant is not None:
-        tol = ctx.tol("einstein/finsler-residual", 1e-6)
-        vals = [einstein_residual(b.metric, x, y, b.expected_einstein_constant)
-                for x, y in zip(pts, dirs)]
-        checks.append(_stat_entry("einstein/finsler-residual", vals, tol,
-                                  {"constant": b.expected_einstein_constant}))
-    else:
-        skipped.append("no Einstein constant is known for this metric")
-    return checks, skipped
+        return [_cert_entry("einstein/certificate", cert, extra_ok, extra),
+                _cert_entry("einstein/scale-certificate", scale)], []
+    if b.expected_einstein_constant is None:
+        return [], ["certificates need square alpha-beta data",
+                    "no Einstein constant is known for this metric"]
+    tol = ctx.tol("einstein/finsler-residual", 1e-6)
+    vals = [einstein_residual(b.metric, x, y, b.expected_einstein_constant)
+            for x, y in zip(pts, dirs)]
+    return [_stat_entry("einstein/finsler-residual", vals, tol,
+                        {"constant": b.expected_einstein_constant})], []
 
 
 def _suite_cfc(ctx: SuiteContext):
@@ -193,7 +189,7 @@ def _suite_closed(ctx: SuiteContext):
     b = ctx.bundle
     cert = sq.check_closedness(b.alpha, b.beta, ctx.samples.points,
                                ctx.samples.directions,
-                               tolerance=ctx.tol("closed/skew", 1e-10))
+                               tolerance=ctx.config.tolerances.get("closed/skew"))
     return [_cert_entry("closed/skew", cert)], []
 
 
@@ -205,7 +201,7 @@ def _suite_spray_deform(ctx: SuiteContext):
     for kind in ("conformal", "reduced"):
         res = sq.deformed_spray_residual(
             b.alpha, b.beta, ctx.samples.points, ctx.samples.directions, kind=kind,
-            tolerance=ctx.tol(f"spray-deform/{kind}", 1e-7))
+            tolerance=ctx.config.tolerances.get(f"spray-deform/{kind}"))
         checks.append(_cert_entry(f"spray-deform/{kind}", res))
     return checks, []
 
@@ -223,8 +219,7 @@ def _suite_warped(ctx: SuiteContext):
         cm = ctx.bundle.construction
         cert = sq.check_reduced_pair(
             cm.reduced_metric, cm.reduced_form, ctx.samples.points,
-            tolerances=ctx.cert_tols("warped/reduced-certificate",
-                                     {"homothety": 1e-8, "ricci-flat": 1e-8}))
+            tolerances=ctx.cert_tols("warped/reduced-certificate", sq.TOLERANCES["reduced-pair"]))
         checks.append(_cert_entry("warped/reduced-certificate", cert))
     return checks, []
 

@@ -9,7 +9,11 @@ import numpy as np
 import pytest
 
 from finsq import _kernels
+from finsq.config import parse_config
 from finsq.jetspace import jet_space, xy_space
+from finsq.registry import resolve_metric
+from finsq.reporting import build_report, dumps
+from finsq.suites import run_suites
 
 try:
     from finsq import _jetcore
@@ -175,3 +179,30 @@ class TestNumpyTierAlgebra:
         back = np.zeros(space.size)
         _kernels.np_mul(space, out, out, back)
         np.testing.assert_allclose(back, a, rtol=1e-12, atol=1e-12)
+
+
+# the three workloads of the benchmark (perfbench/run.py), at 5 samples
+WORKLOAD_CONFIGS = {
+    "berwald-all": {"metric": "berwald"},
+    "sphere4-flag": {"metric": {"name": "sphere", "dim": 4},
+                     "suites": ["cfc", "douglas", "einstein"]},
+    "warped4-point": {"metric": {"construct": {"factor": {"type": "sphere", "dim": 3},
+                                               "c": 1.0, "d": 0.5}},
+                      "suites": ["einstein", "closed", "spray-deform", "warped"]},
+}
+
+
+def _report_text(doc: dict) -> str:
+    cfg = parse_config(dict(doc, samples=5))
+    report = build_report(cfg.echo(), run_suites(resolve_metric(cfg.metric), cfg))
+    report["versions"]["jet_backend"] = None
+    return dumps(report)
+
+
+@pytest.mark.skipif(_jetcore is None, reason="compiled kernels not built")
+@pytest.mark.parametrize("workload", sorted(WORKLOAD_CONFIGS))
+def test_reports_bit_identical_across_tiers(workload, monkeypatch):
+    compiled = _report_text(WORKLOAD_CONFIGS[workload])
+    monkeypatch.setattr(_kernels, "_jetcore", None)
+    assert _kernels.backend_name() == "numpy"
+    assert _report_text(WORKLOAD_CONFIGS[workload]) == compiled

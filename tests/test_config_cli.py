@@ -7,6 +7,7 @@ import pytest
 
 import finsq.cli as cli
 from finsq import finsler
+from finsq import square as sq
 from finsq.config import SUITE_NAMES, ConfigError, load_config, parse_config
 from finsq.registry import MetricResolutionError, builtin_names, resolve_metric
 from finsq.reporting import build_report, dumps, validate_report
@@ -108,6 +109,18 @@ class TestRegistry:
         assert b.expected_characterization_constant == pytest.approx(0.7)
 
     @pytest.mark.parametrize("request_", [
+        *builtin_names(),
+        {"construct": {"factor": {"type": "sphere", "dim": 2}, "c": 1.0, "d": 0.5}},
+        {"family": {"dim": 3, "c": 0.7}},
+    ])
+    def test_square_data_bundles_are_ricci_flat(self, request_):
+        # the einstein suite checks Finsler Ricci-flatness of square data
+        # only through the certificate's finsler-ricci family, against 0
+        b = resolve_metric(request_)
+        if b.square_data:
+            assert b.expected_einstein_constant == 0.0
+
+    @pytest.mark.parametrize("request_", [
         "nope",
         {"name": "nope"},
         {"name": "sphere", "scale": 0.4},
@@ -169,6 +182,41 @@ class TestRunSuites:
         res = run_suites(resolve_metric(cfg.metric), cfg)
         assert res[0].passed
         assert calls == {"spray_jets": 3, "fundamental_tensor": 0}
+
+    def test_einstein_builds_one_flag_bundle_per_sample(self, monkeypatch):
+        calls = []
+        inner = finsler.spray_jets
+
+        def counted(*args):
+            calls.append(1)
+            return inner(*args)
+
+        monkeypatch.setattr(finsler, "spray_jets", counted)
+        cfg = parse_config({"metric": "berwald", "suites": ["einstein"], "samples": 3})
+        res = run_suites(resolve_metric(cfg.metric), cfg)
+        assert res[0].passed
+        assert [c.name for c in res[0].checks] == ["einstein/certificate",
+                                                   "einstein/scale-certificate"]
+        assert len(calls) == 3
+
+    def test_einstein_default_tolerances_are_the_square_table(self):
+        cfg = parse_config({"metric": "berwald", "suites": ["einstein"], "samples": 3})
+        checks = {c.name: c for c in run_suites(resolve_metric(cfg.metric), cfg)[0].checks}
+        for name, kind in (("einstein/certificate", "einstein-square"),
+                           ("einstein/scale-certificate", "einstein-scale")):
+            residuals = checks[name].detail["residuals"]
+            assert {fam: r["tolerance"] for fam, r in residuals.items()} == sq.TOLERANCES[kind]
+
+    def test_einstein_without_square_data(self):
+        cfg = parse_config({"metric": "sphere", "suites": ["einstein"], "samples": 3})
+        res = run_suites(resolve_metric(cfg.metric), cfg)
+        assert res[0].passed
+        assert [c.name for c in res[0].checks] == ["einstein/finsler-residual"]
+        cfg = parse_config({"metric": "randers-drift", "suites": ["einstein"], "samples": 3})
+        entry = run_suites(resolve_metric(cfg.metric), cfg)[0].checks[0]
+        assert entry.name == "einstein/skipped"
+        assert entry.detail["reason"] == ("certificates need square alpha-beta data; "
+                                          "no Einstein constant is known for this metric")
 
 
 class TestReport:

@@ -277,6 +277,12 @@ class TestGeneralKind:
         y = np.array([0.9, 0.4, -0.3])
         assert np.max(np.abs(spray(M1, x, y) - spray(M2, x, y))) <= 1e-12
 
+    def test_constant_plain_profile_has_zero_derivatives(self):
+        # fn ignores its jet argument and returns a plain float
+        phi = PhiFunction("c", "plain", lambda s: 1.0)
+        assert phi.deriv(0.1) == 0.0
+        assert phi.deriv(0.1, order=2) == 0.0
+
     def test_scalar_derivative_requires_plain(self):
         phi = PhiFunction("g", "general", lambda b2, s: 1.0 + s)
         with pytest.raises(ValueError):
