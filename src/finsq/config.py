@@ -6,8 +6,7 @@ import importlib.resources
 import json
 from dataclasses import dataclass, field
 
-SUITE_NAMES = ("cfc", "closed", "deformation", "douglas", "einstein",
-               "pde", "spray-deform", "warped")
+from .suites import SUITE_NAMES, TOLERANCES
 
 
 class ConfigError(ValueError):
@@ -63,6 +62,11 @@ def parse_config(doc: dict) -> RunConfig:
         raise ConfigError("(root): configuration must be an object")
     _validate(doc, _schema("config.schema.json"), "config")
     _validate(doc["metric"], _schema("metric.schema.json"), "config/metric")
+    for key in doc.get("tolerances", {}):
+        if key not in TOLERANCES:
+            suite = key.split("/")[0] + "/"
+            valid = [k for k in TOLERANCES if k.startswith(suite)] or TOLERANCES
+            raise ConfigError(f"config: tolerances/{key}: unknown key; valid keys: {', '.join(valid)}")
     return RunConfig(
         metric=doc["metric"],
         suites=tuple(doc.get("suites", SUITE_NAMES)),

@@ -78,6 +78,9 @@ def sphere_factor(m: int, kappa: float) -> RiemannMetric:
     """Round m-sphere of curvature kappa in a stereographic chart, verified."""
     if m < 1:
         raise ConstructionError("factor dimension must be at least 1")
+    if not kappa > 0:
+        raise ConstructionError(f"sphere factor needs curvature kappa > 0, got {kappa:g} "
+                                "(use the flat factor for c = 0)")
     g = sphere(m, kappa)
     verify_factor(g, math.sqrt(kappa))
     return g

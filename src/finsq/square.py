@@ -30,12 +30,11 @@ reports residuals of every equation the characterization asserts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
-from . import linalg
 from .finsler import GeneralABMetric, PhiFunction, einstein_residual, f_value
 from .geometry import (
     OneFormField,
@@ -437,11 +436,8 @@ def check_einstein_scale_system(alpha: RiemannMetric, beta: OneFormField, points
 
 
 def check_closedness(alpha: RiemannMetric, beta: OneFormField, points,
-                     directions=None, tolerance: Optional[float] = None) -> EinsteinCertificate:
-    """beta must be closed: s_ij = 0, hence s^k_0 s_{k0} = 0 along any y.
-
-    A given tolerance replaces the default of both residual families.
-    """
+                     directions=None, tolerances: Optional[dict] = None) -> EinsteinCertificate:
+    """beta must be closed: s_ij = 0, hence s^k_0 s_{k0} = 0 along any y."""
     points = np.asarray(points, float)
     dirs = _directions(points, directions)
     used, skipped, data = _bundles(alpha, beta, points, b_cap=1.0)
@@ -451,9 +447,8 @@ def check_closedness(alpha: RiemannMetric, beta: OneFormField, points,
         y = dirs[k]
         s_low = bd.s0_lower(y)
         contr.append(abs(float(bd.s0_upper(y) @ s_low)) / (1.0 + float(y @ bd.a @ y)))
-    overrides = None if tolerance is None else dict.fromkeys(TOLERANCES["closedness"], tolerance)
     return _certificate(f"closedness({beta.name})", "closedness", 0.0,
-                        {"skew": skew, "skew-contraction": contr}, used, skipped, overrides)
+                        {"skew": skew, "skew-contraction": contr}, used, skipped, tolerances)
 
 
 def check_conformal_pair(alpha_c: RiemannMetric, beta_c: OneFormField, points,
@@ -492,7 +487,7 @@ def check_reduced_pair(alpha_r: RiemannMetric, beta_r: OneFormField, points,
 
 def deformed_spray_residual(alpha: RiemannMetric, beta: OneFormField, points,
                             directions=None, kind: str = "conformal",
-                            tolerance: Optional[float] = None) -> EinsteinCertificate:
+                            tolerances: Optional[dict] = None) -> EinsteinCertificate:
     """Geodesic sprays of the deformed pair against the closed correction.
 
     When b_{i|j} = tau(x) [(1+2b^2) a - 3 b b] holds (tau from the trace),
@@ -504,7 +499,6 @@ def deformed_spray_residual(alpha: RiemannMetric, beta: OneFormField, points,
 
     Reports the identity residual together with the precondition residual;
     the identity is only meaningful where the precondition is satisfied.
-    A given tolerance replaces the default of the identity residual.
     """
     if kind == "conformal":
         pair = to_conformal_pair(alpha, beta)
@@ -531,8 +525,7 @@ def deformed_spray_residual(alpha: RiemannMetric, beta: OneFormField, points,
         rhs = g0 + t * (a2 * bd.b_upper - coef * be * y)
         ident.append(np.max(np.abs(gd - rhs)) / (1.0 + np.max(np.abs(gd))))
     return _certificate(f"spray-{kind}({alpha.name})", "spray-deform", 0.0,
-                        {"identity": ident, "precondition": precond}, used, skipped,
-                        None if tolerance is None else {"identity": tolerance})
+                        {"identity": ident, "precondition": precond}, used, skipped, tolerances)
 
 
 def norm_identity_residuals(alpha: RiemannMetric, beta: OneFormField, x) -> dict[str, float]:
@@ -548,17 +541,10 @@ def norm_identity_residuals(alpha: RiemannMetric, beta: OneFormField, x) -> dict
     b2 = float(one_form_norm_sq(alpha, beta, X))
     ac, bc = to_conformal_pair(alpha, beta)
     ar, br = to_reduced_pair(alpha, beta)
-    v2 = float(_generic_norm_sq(ac, bc, X))
-    z2 = float(_generic_norm_sq(ar, br, X))
+    v2 = float(one_form_norm_sq(ac, replace(bc, norm_squared=None), X))
+    z2 = float(one_form_norm_sq(ar, replace(br, norm_squared=None), X))
     return {
         "conformal-norm": abs(v2 - b2 / (1.0 - b2)),
         "conformal-product": abs((1.0 + v2) * (1.0 - b2) - 1.0),
         "reduced-norm": abs(z2 - b2),
     }
-
-
-def _generic_norm_sq(alpha: RiemannMetric, beta: OneFormField, X):
-    A = alpha.components(X)
-    B = beta.components(X)
-    v = linalg.solve(A, list(B))
-    return linalg.dot(list(B), v)

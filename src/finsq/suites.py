@@ -5,28 +5,54 @@ A check applies only where the bundle carries the invariant it verifies;
 a suite whose checks all turn out inapplicable fails with the reasons
 rather than passing vacuously.
 
-Tolerance defaults are per check and deliberately heterogeneous: exact
-algebraic identities sit at 1e-12, deformation roundtrips at 1e-10,
-rewritten-expression agreement at 1e-9, and curvature-level statements at
-1e-6 or 1e-7.  A tolerances mapping (from configuration) replaces the
-default for a full check name, or for one residual family inside a
-certificate via "suite/check.family".
+TOLERANCES holds every tolerance key and its default; configuration may
+replace any default and name no other key.  A key is the report name of what
+it judges: "suite/check" for a single-residual check, "suite/check.family"
+for a certificate family, whose default comes from square.TOLERANCES.
+Defaults are tightest for exact algebraic identities and loosest for
+curvature-level statements.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import construct as con
 from . import geometry as geo
 from . import square as sq
-from .config import RunConfig, SUITE_NAMES
 from .finsler import curvature_data, douglas_tensor, einstein_residual
 from .registry import MetricBundle
 from .reporting import CheckEntry, SuiteResult, residual_stat
 from .sampling import SampleSet, sample_inputs
+
+if TYPE_CHECKING:
+    from .config import RunConfig
+
+# The square.TOLERANCES table behind each certificate check.
+_CERTIFICATES = {
+    "einstein/certificate": "einstein-square",
+    "einstein/scale-certificate": "einstein-scale",
+    "closed/skew": "closedness",
+    "spray-deform/conformal": "spray-deform",
+    "spray-deform/reduced": "spray-deform",
+    "warped/reduced-certificate": "reduced-pair",
+}
+
+TOLERANCES = {
+    "cfc/flag": 1e-6, "cfc/residual": 1e-6,
+    "deformation/conformal-roundtrip": 1e-10, "deformation/reduced-roundtrip": 1e-10,
+    "deformation/norm-identities": 1e-12, "deformation/three-expressions": 1e-9,
+    "douglas/symmetry": 1e-12, "douglas/euler-trace": 1e-10, "douglas/magnitude": 1e-6,
+    "einstein/finsler-residual": 1e-6,
+    "einstein/certificate.constant": 1e-4,  # bound on |fitted - expected constant|
+    "pde/square-conformal": 1e-10, "pde/square-reduced": 1e-10, "pde/randers-nav": 1e-10,
+    "warped/trace": 1e-7,
+    **{f"{check}.{fam}": tol for check, kind in _CERTIFICATES.items()
+       for fam, tol in sq.TOLERANCES[kind].items()},
+}
 
 
 @dataclass(frozen=True)
@@ -35,15 +61,15 @@ class SuiteContext:
     samples: SampleSet
     config: RunConfig
 
-    def tol(self, name: str, default: float) -> float:
-        return float(self.config.tolerances.get(name, default))
+    def tol(self, name: str) -> float:
+        return float(self.config.tolerances.get(name, TOLERANCES[name]))
 
-    def cert_tols(self, check: str, defaults: dict) -> dict:
-        return {fam: self.tol(f"{check}.{fam}", d) for fam, d in defaults.items()}
+    def cert_tols(self, check: str) -> dict:
+        return {fam: self.tol(f"{check}.{fam}") for fam in sq.TOLERANCES[_CERTIFICATES[check]]}
 
 
-def _stat_entry(name: str, values, tolerance: float, extra: dict | None = None) -> CheckEntry:
-    stat = residual_stat(name, values, tolerance)
+def _stat_entry(ctx: SuiteContext, name: str, values, extra: dict | None = None) -> CheckEntry:
+    stat = residual_stat(name, values, ctx.tol(name))
     detail = {"residuals": {name.rsplit("/", 1)[-1]: stat.to_json()}}
     if extra:
         detail.update(extra)
@@ -69,29 +95,27 @@ def _suite_einstein(ctx: SuiteContext):
         # for square data it is the Finsler Einstein check.
         cert = sq.check_einstein_square(
             b.alpha, b.beta, pts, dirs,
-            tolerances=ctx.cert_tols("einstein/certificate", sq.TOLERANCES["einstein-square"]),
+            tolerances=ctx.cert_tols("einstein/certificate"),
             b_cap=ctx.config.b_cap)
         extra_ok = True
         extra = {}
         if b.expected_characterization_constant is not None:
-            ctol = ctx.tol("einstein/certificate.constant", 1e-4)
             dev = abs(cert.constant - b.expected_characterization_constant)
             extra = {"expected_constant": b.expected_characterization_constant,
                      "constant_deviation": dev}
-            extra_ok = dev <= ctol
+            extra_ok = dev <= ctx.tol("einstein/certificate.constant")
         scale = sq.check_einstein_scale_system(
             b.alpha, b.beta, pts,
-            tolerances=ctx.cert_tols("einstein/scale-certificate", sq.TOLERANCES["einstein-scale"]),
+            tolerances=ctx.cert_tols("einstein/scale-certificate"),
             b_cap=ctx.config.b_cap)
         return [_cert_entry("einstein/certificate", cert, extra_ok, extra),
                 _cert_entry("einstein/scale-certificate", scale)], []
     if b.expected_einstein_constant is None:
         return [], ["certificates need square alpha-beta data",
                     "no Einstein constant is known for this metric"]
-    tol = ctx.tol("einstein/finsler-residual", 1e-6)
     vals = [einstein_residual(b.metric, x, y, b.expected_einstein_constant)
             for x, y in zip(pts, dirs)]
-    return [_stat_entry("einstein/finsler-residual", vals, tol,
+    return [_stat_entry(ctx, "einstein/finsler-residual", vals,
                         {"constant": b.expected_einstein_constant})], []
 
 
@@ -106,8 +130,8 @@ def _suite_cfc(ctx: SuiteContext):
         flags.append(abs(cd.flag_curvature(u) - K))
         resid.append(cd.cfc_residual(K))
     return [
-        _stat_entry("cfc/flag", flags, ctx.tol("cfc/flag", 1e-6), {"expected": K}),
-        _stat_entry("cfc/residual", resid, ctx.tol("cfc/residual", 1e-6), {"expected": K}),
+        _stat_entry(ctx, "cfc/flag", flags, {"expected": K}),
+        _stat_entry(ctx, "cfc/residual", resid, {"expected": K}),
     ], []
 
 
@@ -133,14 +157,10 @@ def _suite_deformation(ctx: SuiteContext):
         f1, f2, f3 = sq.f_square_three_ways(al, be, x, y)
         exprs.append(max(abs(f2 - f1), abs(f3 - f1)) / (1.0 + abs(f1)))
     return [
-        _stat_entry("deformation/conformal-roundtrip", conf,
-                    ctx.tol("deformation/conformal-roundtrip", 1e-10)),
-        _stat_entry("deformation/reduced-roundtrip", red,
-                    ctx.tol("deformation/reduced-roundtrip", 1e-10)),
-        _stat_entry("deformation/norm-identities", norms,
-                    ctx.tol("deformation/norm-identities", 1e-12)),
-        _stat_entry("deformation/three-expressions", exprs,
-                    ctx.tol("deformation/three-expressions", 1e-9)),
+        _stat_entry(ctx, "deformation/conformal-roundtrip", conf),
+        _stat_entry(ctx, "deformation/reduced-roundtrip", red),
+        _stat_entry(ctx, "deformation/norm-identities", norms),
+        _stat_entry(ctx, "deformation/three-expressions", exprs),
     ], []
 
 
@@ -154,7 +174,7 @@ def _suite_pde(ctx: SuiteContext):
             bb = float(np.sqrt(b2))
             for s in np.linspace(-bb, bb, 20):
                 vals.append(sq.phi_pde_residual(phi, float(b2), float(s)))
-        checks.append(_stat_entry(f"pde/{key}", vals, ctx.tol(f"pde/{key}", 1e-10)))
+        checks.append(_stat_entry(ctx, f"pde/{key}", vals))
     return checks, []
 
 
@@ -171,14 +191,13 @@ def _suite_douglas(ctx: SuiteContext):
                        float(np.max(np.abs(c - np.transpose(c, (0, 2, 1, 3)))))))
     trace = [D.y_trace_max() for D in tensors]
     checks = [
-        _stat_entry("douglas/symmetry", sym, ctx.tol("douglas/symmetry", 1e-12)),
-        _stat_entry("douglas/euler-trace", trace, ctx.tol("douglas/euler-trace", 1e-10)),
+        _stat_entry(ctx, "douglas/symmetry", sym),
+        _stat_entry(ctx, "douglas/euler-trace", trace),
     ]
     skipped = []
     if b.expected_douglas is not None:
         mags = [D.max_abs for D in tensors]
-        checks.append(_stat_entry("douglas/magnitude", mags,
-                                  ctx.tol("douglas/magnitude", 1e-6),
+        checks.append(_stat_entry(ctx, "douglas/magnitude", mags,
                                   {"expected": b.expected_douglas}))
     else:
         skipped.append("metric is not expected to be of Douglas type")
@@ -189,7 +208,7 @@ def _suite_closed(ctx: SuiteContext):
     b = ctx.bundle
     cert = sq.check_closedness(b.alpha, b.beta, ctx.samples.points,
                                ctx.samples.directions,
-                               tolerance=ctx.config.tolerances.get("closed/skew"))
+                               tolerances=ctx.cert_tols("closed/skew"))
     return [_cert_entry("closed/skew", cert)], []
 
 
@@ -201,7 +220,7 @@ def _suite_spray_deform(ctx: SuiteContext):
     for kind in ("conformal", "reduced"):
         res = sq.deformed_spray_residual(
             b.alpha, b.beta, ctx.samples.points, ctx.samples.directions, kind=kind,
-            tolerance=ctx.config.tolerances.get(f"spray-deform/{kind}"))
+            tolerances=ctx.cert_tols(f"spray-deform/{kind}"))
         checks.append(_cert_entry(f"spray-deform/{kind}", res))
     return checks, []
 
@@ -213,13 +232,13 @@ def _suite_warped(ctx: SuiteContext):
     res = con.warped_trace_residual(
         geo.sphere(2, 1.3), lambda t: 1.0 + 0.3 * t * t,
         lambda t: 0.6 * t, lambda t: 0.6, (-0.5, 0.5), pts)
-    checks = [_stat_entry("warped/trace", [res], ctx.tol("warped/trace", 1e-7),
+    checks = [_stat_entry(ctx, "warped/trace", [res],
                           {"fixture": "dt^2 + (1 + 0.3 t^2)^2 sphere(2, k=1.3)"})]
     if ctx.bundle.construction is not None:
         cm = ctx.bundle.construction
         cert = sq.check_reduced_pair(
             cm.reduced_metric, cm.reduced_form, ctx.samples.points,
-            tolerances=ctx.cert_tols("warped/reduced-certificate", sq.TOLERANCES["reduced-pair"]))
+            tolerances=ctx.cert_tols("warped/reduced-certificate"))
         checks.append(_cert_entry("warped/reduced-certificate", cert))
     return checks, []
 
@@ -235,7 +254,7 @@ _SUITES = {
     "warped": _suite_warped,
 }
 
-assert set(_SUITES) == set(SUITE_NAMES)
+SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suites(bundle: MetricBundle, cfg: RunConfig) -> list[SuiteResult]:

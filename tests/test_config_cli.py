@@ -1,17 +1,21 @@
 """Configuration parsing, metric resolution, suite running, and the CLI."""
 
+import importlib.resources
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import finsq.cli as cli
 from finsq import finsler
-from finsq import square as sq
 from finsq.config import SUITE_NAMES, ConfigError, load_config, parse_config
 from finsq.registry import MetricResolutionError, builtin_names, resolve_metric
 from finsq.reporting import build_report, dumps, validate_report
-from finsq.suites import run_suites
+from finsq.suites import TOLERANCES, run_suites
+
+CONSTRUCT = {"construct": {"factor": {"type": "sphere", "dim": 2}, "c": 1.0, "d": 0.5}}
 
 
 class TestConfig:
@@ -45,11 +49,35 @@ class TestConfig:
         ({"metric": "no-such-metric"}, "config/metric"),
         ({"metric": {"name": "sphere", "dim": 99}}, "config/metric"),
         ({"metric": {"weird": True}}, "config/metric"),
+        # tolerance keys are exactly those of suites.TOLERANCES
+        ({"metric": "berwald", "tolerances": {"cfc/flg": 1e-3}}, "tolerances/cfc/flg"),
+        ({"metric": "berwald", "tolerances": {"closed/skew": 1e-3}}, "tolerances/closed/skew"),
+        ({"metric": "berwald", "tolerances": {"spray-deform/conformal": 1e-3}},
+         "tolerances/spray-deform/conformal"),
+        ({"metric": "berwald", "tolerances": {"einstein/certificate": 1e-3}},
+         "tolerances/einstein/certificate"),
     ])
     def test_rejects_with_path(self, doc, needle):
         with pytest.raises(ConfigError) as err:
             parse_config(doc)
         assert needle in str(err.value)
+
+    def test_unknown_key_lists_the_valid_keys_of_its_suite(self):
+        with pytest.raises(ConfigError) as err:
+            parse_config({"metric": "berwald", "tolerances": {"closed/skew": 1e-3}})
+        assert "closed/skew.skew, closed/skew.skew-contraction" in str(err.value)
+
+    def test_schema_suite_enum_is_suite_names(self):
+        text = importlib.resources.files("finsq").joinpath("schemas/config.schema.json").read_text()
+        enum = json.loads(text)["properties"]["suites"]["items"]["enum"]
+        assert tuple(enum) == SUITE_NAMES
+
+    def test_readme_configs_parse(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        blocks = re.findall(r"```json\n(.*?)```", readme, re.DOTALL)
+        assert blocks
+        for block in blocks:
+            parse_config(json.loads(block))
 
     def test_non_object_rejected(self):
         with pytest.raises(ConfigError):
@@ -94,8 +122,7 @@ class TestRegistry:
         assert b.expected_einstein_constant == pytest.approx(2.25)
 
     def test_construct_form(self):
-        b = resolve_metric({"construct": {"factor": {"type": "sphere", "dim": 2},
-                                          "c": 1.0, "d": 0.5}})
+        b = resolve_metric(CONSTRUCT)
         assert b.square_data
         assert b.construction is not None
         assert b.dim == 3
@@ -110,7 +137,7 @@ class TestRegistry:
 
     @pytest.mark.parametrize("request_", [
         *builtin_names(),
-        {"construct": {"factor": {"type": "sphere", "dim": 2}, "c": 1.0, "d": 0.5}},
+        CONSTRUCT,
         {"family": {"dim": 3, "c": 0.7}},
     ])
     def test_square_data_bundles_are_ricci_flat(self, request_):
@@ -200,12 +227,35 @@ class TestRunSuites:
         assert len(calls) == 3
 
     def test_einstein_default_tolerances_are_the_square_table(self):
-        cfg = parse_config({"metric": "berwald", "suites": ["einstein"], "samples": 3})
-        checks = {c.name: c for c in run_suites(resolve_metric(cfg.metric), cfg)[0].checks}
-        for name, kind in (("einstein/certificate", "einstein-square"),
-                           ("einstein/scale-certificate", "einstein-scale")):
-            residuals = checks[name].detail["residuals"]
-            assert {fam: r["tolerance"] for fam, r in residuals.items()} == sq.TOLERANCES[kind]
+        # every residual of a default run, not only the einstein certificates,
+        # is judged against its suites.TOLERANCES entry
+        keys = set()
+        for metric in ("berwald", "sphere", CONSTRUCT):
+            cfg = parse_config({"metric": metric, "samples": 3})
+            for result in run_suites(resolve_metric(cfg.metric), cfg):
+                for check in result.checks:
+                    for fam, r in check.detail.get("residuals", {}).items():
+                        key = check.name if check.name in TOLERANCES else f"{check.name}.{fam}"
+                        assert r["tolerance"] == TOLERANCES[key], key
+                        keys.add(key)
+        assert keys == set(TOLERANCES) - {"einstein/certificate.constant"}
+
+    @pytest.mark.parametrize("key", list(TOLERANCES))
+    def test_every_tolerance_key_is_read(self, key):
+        check, _, fam = key.partition(".")
+        metric = ("sphere" if key == "einstein/finsler-residual"
+                  else CONSTRUCT if key.startswith(("warped/", "einstein/certificate.constant"))
+                  else "berwald")
+        cfg = parse_config({"metric": metric, "suites": [key.split("/")[0]], "samples": 3,
+                            "tolerances": {key: 1e-300}})
+        entry = next(c for r in run_suites(resolve_metric(cfg.metric), cfg)
+                     for c in r.checks if c.name == check)
+        if key == "einstein/certificate.constant":
+            assert entry.detail["constant_deviation"] > 1e-300
+            assert not entry.passed
+        else:
+            residual = entry.detail["residuals"][fam or check.rsplit("/", 1)[-1]]
+            assert residual["tolerance"] == 1e-300
 
     def test_einstein_without_square_data(self):
         cfg = parse_config({"metric": "sphere", "suites": ["einstein"], "samples": 3})
@@ -304,6 +354,8 @@ class TestCommandLine:
         ["eval", "--metric", "randers-grad", "--x", "3,0,0", "--y", "1,0,0"],
         ["construct", "--factor", "sphere", "--c", "0"],
         ["construct", "--factor", "flat", "--c", "1.0"],
+        ["check", "--metric", '{"construct": {"c": 0, "d": 0.5}}', "--suites", "einstein",
+         "--samples", "3"],
     ])
     def test_usage_errors_exit_two(self, argv, capsys):
         code = cli.main(argv)
