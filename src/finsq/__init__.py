@@ -66,6 +66,7 @@ from .geometry import (
     validate_chart,
 )
 from .registry import MetricBundle, builtin_names, resolve_metric
+from .sampling import SampleTable
 from .square import (
     EinsteinCertificate,
     check_closedness,
@@ -104,6 +105,6 @@ __all__ = [
     "WarpedProductSpec", "ConstructedMetric", "ConstructionError",
     "sphere_factor", "flat_factor", "build_warped", "construct_einstein_square",
     "berwald_family", "warped_trace_residual",
-    "MetricBundle", "resolve_metric", "builtin_names",
+    "MetricBundle", "resolve_metric", "builtin_names", "SampleTable",
     "__version__",
 ]

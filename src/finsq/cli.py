@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Optional
 
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import construct as con
 from . import square as sq
-from .config import SUITE_NAMES, ConfigError, load_config, parse_config
+from .config import SUITE_NAMES, ConfigError, load_config, parse_config, validate_metric
 from .finsler import (
     DegenerateFlagError,
     StrongConvexityError,
@@ -33,7 +34,7 @@ from .finsler import (
 from .geometry import one_form_norm_sq
 from .registry import MetricResolutionError, builtin_names, resolve_metric
 from .reporting import build_report, dumps
-from .sampling import SamplingError, sample_inputs
+from .sampling import SampleTable, SamplingError, sample_inputs
 from .suites import TOLERANCES, run_suites
 
 
@@ -52,9 +53,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser("construct", help="build and verify an Einstein square metric")
     b.add_argument("--dim", type=int, default=4, help="total dimension (factor + 1)")
-    b.add_argument("--c", type=float, default=1.0, dest="c_const",
+    b.add_argument("--c", type=_finite_float, default=1.0, dest="c_const",
                    help="homothety constant of the warped form")
-    b.add_argument("--d", type=float, default=0.5, help="warp offset h(t) = c t + d")
+    b.add_argument("--d", type=_finite_float, default=0.5, help="warp offset h(t) = c t + d")
     b.add_argument("--factor", choices=("sphere", "flat"), default="sphere")
     b.add_argument("--samples", type=int, default=50)
     b.add_argument("--seed", type=int, default=0)
@@ -70,6 +71,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("list-metrics", help="list builtin metric names")
     return p
+
+
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def _parse_metric_arg(text: str):
@@ -131,8 +142,7 @@ def _cmd_construct(args) -> int:
     spec = con.WarpedProductSpec(factor, args.c_const, args.d)
     cm = con.construct_einstein_square(spec)
     samples = sample_inputs(cm.alpha, cm.beta, args.samples, args.seed)
-    cert = sq.check_einstein_square(cm.alpha, cm.beta, samples.points,
-                                    samples.directions)
+    cert = sq.check_einstein_square(SampleTable(cm.metric, samples.points, samples.directions))
     doc = {
         "schema": "finsq-construction/1",
         "name": cm.name,
@@ -152,7 +162,7 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    bundle = resolve_metric(_parse_metric_arg(args.metric))
+    bundle = resolve_metric(validate_metric(_parse_metric_arg(args.metric), "--metric"))
     x = _vector(args.x, "x")
     y = _vector(args.y, "y")
     n = bundle.dim

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib.resources
 import json
+import math
 from dataclasses import dataclass, field
 
 from .suites import SUITE_NAMES, TOLERANCES
@@ -41,15 +42,51 @@ def _schema(name: str) -> dict:
     return json.loads(text)
 
 
+def _path(parts) -> str:
+    return "/".join(str(p) for p in parts) or "(root)"
+
+
+def _non_finite(node, path: tuple = ()):
+    """(path, value) of the first non-finite number in a JSON document, or None.
+
+    JSON's Infinity and NaN pass every numeric bound of a schema (NaN fails
+    no comparison), so they are refused here instead."""
+    if isinstance(node, float):
+        return None if math.isfinite(node) else (path, node)
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return None
+    for key, value in items:
+        found = _non_finite(value, path + (key,))
+        if found is not None:
+            return found
+    return None
+
+
 def _validate(instance, schema: dict, where: str) -> None:
     import jsonschema
+    from jsonschema.exceptions import best_match
 
-    validator = jsonschema.Draft202012Validator(schema)
-    errors = sorted(validator.iter_errors(instance), key=lambda e: list(e.absolute_path))
-    if errors:
-        e = errors[0]
-        path = "/".join(str(p) for p in e.absolute_path) or "(root)"
-        raise ConfigError(f"{where}: {path}: {e.message}")
+    bad = _non_finite(instance)
+    if bad is not None:
+        path, value = bad
+        raise ConfigError(f"{where}: {_path(path)}: {json.dumps(value)} is not a finite number")
+    # best_match descends into oneOf branches, so a refusal names the failing
+    # field of the branch the request was meant for
+    e = best_match(jsonschema.Draft202012Validator(schema).iter_errors(instance))
+    if e is not None:
+        raise ConfigError(f"{where}: {_path(e.absolute_path)}: {e.message}")
+
+
+def validate_metric(request, where: str = "metric"):
+    """Check a metric request (builtin name or object) against the metric
+    schema, refusing non-finite numbers; returns the request.  Both `check`
+    (through parse_config) and `eval` validate their metric here."""
+    _validate(request, _schema("metric.schema.json"), where)
+    return request
 
 
 def parse_config(doc: dict) -> RunConfig:
@@ -61,7 +98,7 @@ def parse_config(doc: dict) -> RunConfig:
     if not isinstance(doc, dict):
         raise ConfigError("(root): configuration must be an object")
     _validate(doc, _schema("config.schema.json"), "config")
-    _validate(doc["metric"], _schema("metric.schema.json"), "config/metric")
+    validate_metric(doc["metric"], "config/metric")
     for key in doc.get("tolerances", {}):
         if key not in TOLERANCES:
             suite = key.split("/")[0] + "/"

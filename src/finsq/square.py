@@ -35,16 +35,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .finsler import GeneralABMetric, PhiFunction, einstein_residual, f_value
-from .geometry import (
-    OneFormField,
-    RiemannMetric,
-    beta_derivatives,
-    geodesic_spray,
-    one_form_norm_sq,
-)
+from .finsler import GeneralABMetric, PhiFunction, f_value
+from .geometry import OneFormField, RiemannMetric, geodesic_spray, one_form_norm_sq
 from .jets import sqrt
 from .reporting import ResidualStat, residual_stat
+from .sampling import SampleTable
 
 
 # -- profile functions -----------------------------------------------------------
@@ -308,25 +303,18 @@ TOLERANCES = {
 }
 
 
-def _directions(points: np.ndarray, directions) -> np.ndarray:
-    """One direction per point: the given rows, or a fixed Philox draw."""
-    if directions is None:
-        rng = np.random.Generator(np.random.Philox(key=97))
-        directions = rng.uniform(-1.0, 1.0, points.shape)
-    return np.asarray(directions, float)
-
-
-def _bundles(alpha, beta, points, b_cap) -> tuple[list[int], int, list]:
-    """Indices of the points inside the chart with b < b_cap, the number
-    skipped, and the point bundle of each used point; an index also selects
-    the point's own direction."""
-    used = [k for k, x in enumerate(points)
+def _select(table: SampleTable, b_cap: float) -> tuple[list[int], int]:
+    """Indices of the table's points inside the chart with b < b_cap, and the
+    number skipped; an index selects the point's bundles and its own
+    direction."""
+    alpha, beta = table.alpha, table.beta
+    used = [k for k, x in enumerate(table.points)
             if alpha.domain(x)
             and float(one_form_norm_sq(alpha, beta, [float(v) for v in x])) < b_cap * b_cap]
     if len(used) < 2:
         raise InsufficientSamplesError(
-            f"{alpha.name}: only {len(used)} usable samples out of {len(points)}")
-    return used, len(points) - len(used), [beta_derivatives(alpha, beta, points[k]) for k in used]
+            f"{alpha.name}: only {len(used)} usable samples out of {len(table)}")
+    return used, len(table) - len(used)
 
 
 def _fit(data, shapes) -> float:
@@ -357,33 +345,35 @@ def _covariant_shape(bd) -> np.ndarray:
     return (1.0 - bd.b2) * ((1.0 + 2.0 * bd.b2) * bd.a - 3.0 * np.outer(bd.b_lower, bd.b_lower))
 
 
-def check_einstein_square(alpha: RiemannMetric, beta: OneFormField, points,
-                          directions=None, tolerances: Optional[dict] = None,
+def check_einstein_square(table: SampleTable, tolerances: Optional[dict] = None,
                           b_cap: float = 0.95) -> EinsteinCertificate:
     """Constant-scale Einstein characterization of F = (alpha + beta)^2/alpha.
 
     Fits one constant c to b_{i|j} = c (1-b^2)[(1+2b^2) a - 3 b b] over the
     usable samples, then reports residuals of that equation, of the matching
     Ricci-tensor equation on alpha, and of Finsler Ricci-flatness of F at one
-    flag per sample.  Samples outside the chart or with b >= b_cap are
-    skipped and counted.
+    flag per sample, read off the table's flag bundles (the table's metric
+    must be the square metric).  Samples outside the chart or with
+    b >= b_cap are skipped and counted.
     """
-    points = np.asarray(points, float)
-    dirs = _directions(points, directions)
-    used, skipped, data = _bundles(alpha, beta, points, b_cap)
+    if table.metric.phi.name != "square":
+        raise ValueError(f"{table.metric.name}: the Einstein square certificate "
+                         f"needs a square metric, not profile {table.metric.phi.name!r}")
+    alpha = table.alpha
+    used, skipped = _select(table, b_cap)
+    data = [table.point(k) for k in used]
     n = alpha.dim
     shapes = [_covariant_shape(bd) for bd in data]
     c = _fit(data, shapes)
 
     cov, aric, fric = [], [], []
-    metric = square_metric(alpha, beta)
     for k, bd, m in zip(used, data, shapes):
         cov.append(_relative(bd.bij, c * m))
         coef = c * c * (1.0 - bd.b2) ** 2
         expect = coef * (-(5.0 * (n - 1) + 2.0 * (2 * n - 5) * bd.b2) * bd.a
                          + 6.0 * (n - 2) * np.outer(bd.b_lower, bd.b_lower))
         aric.append(_relative(bd.ricci, expect))
-        fric.append(einstein_residual(metric, points[k], dirs[k], 0.0))
+        fric.append(table.flag(k).einstein_residual(0.0))
     return _certificate(f"einstein-square({alpha.name})", "einstein-square", c,
                         {"covariant": cov, "alpha-ricci": aric, "finsler-ricci": fric},
                         used, skipped, tolerances)
@@ -404,8 +394,7 @@ def _tau_gradient(bd, n: int) -> np.ndarray:
     return (dnum - _tau(bd, n) * (2 * n - 3) * db2) / den
 
 
-def check_einstein_scale_system(alpha: RiemannMetric, beta: OneFormField, points,
-                                tolerances: Optional[dict] = None,
+def check_einstein_scale_system(table: SampleTable, tolerances: Optional[dict] = None,
                                 b_cap: float = 0.95) -> EinsteinCertificate:
     """Pointwise-scale form of the characterization.
 
@@ -416,12 +405,11 @@ def check_einstein_scale_system(alpha: RiemannMetric, beta: OneFormField, points
     second-order point bundle), and constancy of c = tau / (1-b^2) across
     samples.
     """
-    points = np.asarray(points, float)
-    used, skipped, data = _bundles(alpha, beta, points, b_cap)
-    n = alpha.dim
+    used, skipped = _select(table, b_cap)
+    n = table.alpha.dim
 
     cov, grad, consts = [], [], []
-    for bd in data:
+    for bd in map(table.point, used):
         t = _tau(bd, n)
         m = (1.0 + 2.0 * bd.b2) * bd.a - 3.0 * np.outer(bd.b_lower, bd.b_lower)
         cov.append(_relative(bd.bij, t * m))
@@ -430,63 +418,60 @@ def check_einstein_scale_system(alpha: RiemannMetric, beta: OneFormField, points
         consts.append(t / (1.0 - bd.b2))
     cmean = float(np.mean(consts))
     cdev = [abs(v - cmean) / (1.0 + abs(cmean)) for v in consts]
-    return _certificate(f"einstein-scale({alpha.name})", "einstein-scale", cmean,
+    return _certificate(f"einstein-scale({table.alpha.name})", "einstein-scale", cmean,
                         {"covariant": cov, "gradient": grad, "constancy": cdev},
                         used, skipped, tolerances)
 
 
-def check_closedness(alpha: RiemannMetric, beta: OneFormField, points,
-                     directions=None, tolerances: Optional[dict] = None) -> EinsteinCertificate:
+def check_closedness(table: SampleTable, tolerances: Optional[dict] = None) -> EinsteinCertificate:
     """beta must be closed: s_ij = 0, hence s^k_0 s_{k0} = 0 along any y."""
-    points = np.asarray(points, float)
-    dirs = _directions(points, directions)
-    used, skipped, data = _bundles(alpha, beta, points, b_cap=1.0)
+    used, skipped = _select(table, b_cap=1.0)
     skew, contr = [], []
-    for k, bd in zip(used, data):
+    for k in used:
+        bd = table.point(k)
         skew.append(np.max(np.abs(bd.s)) / (1.0 + np.max(np.abs(bd.bij))))
-        y = dirs[k]
+        y = table.directions[k]
         s_low = bd.s0_lower(y)
         contr.append(abs(float(bd.s0_upper(y) @ s_low)) / (1.0 + float(y @ bd.a @ y)))
-    return _certificate(f"closedness({beta.name})", "closedness", 0.0,
+    return _certificate(f"closedness({table.beta.name})", "closedness", 0.0,
                         {"skew": skew, "skew-contraction": contr}, used, skipped, tolerances)
 
 
-def check_conformal_pair(alpha_c: RiemannMetric, beta_c: OneFormField, points,
-                         tolerances: Optional[dict] = None) -> EinsteinCertificate:
-    """Einstein conditions in conformal-pair form.
+def check_conformal_pair(table: SampleTable, tolerances: Optional[dict] = None) -> EinsteinCertificate:
+    """Einstein conditions in conformal-pair form, over a table whose metric
+    is written on the conformal pair (u, v).
 
     Fits c to v_{i|j} = c sqrt(1 + v^2) u_ij, then checks that equation and
     Ric(u) = -(n-1) c^2 u (an Einstein metric of negative constant -c^2).
     """
-    points = np.asarray(points, float)
-    used, skipped, data = _bundles(alpha_c, beta_c, points, b_cap=np.inf)
-    n = alpha_c.dim
+    used, skipped = _select(table, b_cap=np.inf)
+    data = [table.point(k) for k in used]
+    n = table.alpha.dim
     shapes = [math.sqrt(1.0 + bd.b2) * bd.a for bd in data]
     c = _fit(data, shapes)
     cov, ein = [], []
     for bd, m in zip(data, shapes):
         cov.append(_relative(bd.bij, c * m))
         ein.append(_relative(bd.ricci, -(n - 1) * c * c * bd.a))
-    return _certificate(f"conformal-pair({alpha_c.name})", "conformal-pair", c,
+    return _certificate(f"conformal-pair({table.alpha.name})", "conformal-pair", c,
                         {"covariant": cov, "einstein": ein}, used, skipped, tolerances)
 
 
-def check_reduced_pair(alpha_r: RiemannMetric, beta_r: OneFormField, points,
-                       tolerances: Optional[dict] = None) -> EinsteinCertificate:
-    """Einstein conditions in reduced-pair form: Ric(w) = 0, z_{i|j} = c w_ij."""
-    points = np.asarray(points, float)
-    used, skipped, data = _bundles(alpha_r, beta_r, points, b_cap=np.inf)
+def check_reduced_pair(table: SampleTable, tolerances: Optional[dict] = None) -> EinsteinCertificate:
+    """Einstein conditions in reduced-pair form, over a table whose metric is
+    written on the reduced pair (w, z): Ric(w) = 0, z_{i|j} = c w_ij."""
+    used, skipped = _select(table, b_cap=np.inf)
+    data = [table.point(k) for k in used]
     c = _fit(data, [bd.a for bd in data])
     hom, rflat = [], []
     for bd in data:
         hom.append(_relative(bd.bij, c * bd.a))
         rflat.append(np.max(np.abs(bd.ricci)) / (1.0 + np.max(np.abs(bd.a))))
-    return _certificate(f"reduced-pair({alpha_r.name})", "reduced-pair", c,
+    return _certificate(f"reduced-pair({table.alpha.name})", "reduced-pair", c,
                         {"homothety": hom, "ricci-flat": rflat}, used, skipped, tolerances)
 
 
-def deformed_spray_residual(alpha: RiemannMetric, beta: OneFormField, points,
-                            directions=None, kind: str = "conformal",
+def deformed_spray_residual(table: SampleTable, kind: str = "conformal",
                             tolerances: Optional[dict] = None) -> EinsteinCertificate:
     """Geodesic sprays of the deformed pair against the closed correction.
 
@@ -499,7 +484,10 @@ def deformed_spray_residual(alpha: RiemannMetric, beta: OneFormField, points,
 
     Reports the identity residual together with the precondition residual;
     the identity is only meaningful where the precondition is satisfied.
+    G^i of alpha is the table's, shared by both kinds; the deformed pair's
+    spray is solved here.
     """
+    alpha, beta = table.alpha, table.beta
     if kind == "conformal":
         pair = to_conformal_pair(alpha, beta)
         coef = 2.0
@@ -508,18 +496,17 @@ def deformed_spray_residual(alpha: RiemannMetric, beta: OneFormField, points,
         coef = 3.0
     else:
         raise ValueError(f"unknown deformation kind {kind!r}")
-    points = np.asarray(points, float)
-    dirs = _directions(points, directions)
-    used, skipped, data = _bundles(alpha, beta, points, b_cap=0.999)
+    used, skipped = _select(table, b_cap=0.999)
     n = alpha.dim
     ident, precond = [], []
-    for k, bd in zip(used, data):
-        x, y = points[k], dirs[k]
+    for k in used:
+        bd = table.point(k)
+        y = table.directions[k]
         t = _tau(bd, n)
         m = _covariant_shape(bd) / (1.0 - bd.b2)
         precond.append(_relative(bd.bij, t * m))
-        g0 = geodesic_spray(alpha, x, y)
-        gd = geodesic_spray(pair[0], x, y)
+        g0 = table.alpha_spray(k)
+        gd = geodesic_spray(pair[0], table.points[k], y)
         a2 = float(y @ bd.a @ y)
         be = float(bd.b_lower @ y)
         rhs = g0 + t * (a2 * bd.b_upper - coef * be * y)

@@ -11,6 +11,11 @@ it judges: "suite/check" for a single-residual check, "suite/check.family"
 for a certificate family, whose default comes from square.TOLERANCES.
 Defaults are tightest for exact algebraic identities and loosest for
 curvature-level statements.
+
+A run builds one SampleTable over the bundle's metric and samples; every
+suite reads its point and flag bundles from it, so each is built once per
+run whatever suites run and in whatever order.  Checks on other data (the
+deformed pairs of spray-deform, the reduced pair of warped) keep their own.
 """
 
 from __future__ import annotations
@@ -23,10 +28,10 @@ import numpy as np
 from . import construct as con
 from . import geometry as geo
 from . import square as sq
-from .finsler import curvature_data, douglas_tensor, einstein_residual
+from .finsler import douglas_tensor
 from .registry import MetricBundle
 from .reporting import CheckEntry, SuiteResult, residual_stat
-from .sampling import SampleSet, sample_inputs
+from .sampling import SampleSet, SampleTable, sample_inputs
 
 if TYPE_CHECKING:
     from .config import RunConfig
@@ -60,6 +65,7 @@ class SuiteContext:
     bundle: MetricBundle
     samples: SampleSet
     config: RunConfig
+    table: SampleTable
 
     def tol(self, name: str) -> float:
         return float(self.config.tolerances.get(name, TOLERANCES[name]))
@@ -88,14 +94,12 @@ def _cert_entry(name: str, cert, extra_passed: bool = True, extra: dict | None =
 
 def _suite_einstein(ctx: SuiteContext):
     b = ctx.bundle
-    pts, dirs = ctx.samples.points, ctx.samples.directions
     if b.square_data:
         # An Einstein square metric in dimension >= 3 is Ricci-flat, and the
         # certificate's finsler-ricci family checks Ric = 0 at every sample:
         # for square data it is the Finsler Einstein check.
         cert = sq.check_einstein_square(
-            b.alpha, b.beta, pts, dirs,
-            tolerances=ctx.cert_tols("einstein/certificate"),
+            ctx.table, tolerances=ctx.cert_tols("einstein/certificate"),
             b_cap=ctx.config.b_cap)
         extra_ok = True
         extra = {}
@@ -105,16 +109,15 @@ def _suite_einstein(ctx: SuiteContext):
                      "constant_deviation": dev}
             extra_ok = dev <= ctx.tol("einstein/certificate.constant")
         scale = sq.check_einstein_scale_system(
-            b.alpha, b.beta, pts,
-            tolerances=ctx.cert_tols("einstein/scale-certificate"),
+            ctx.table, tolerances=ctx.cert_tols("einstein/scale-certificate"),
             b_cap=ctx.config.b_cap)
         return [_cert_entry("einstein/certificate", cert, extra_ok, extra),
                 _cert_entry("einstein/scale-certificate", scale)], []
     if b.expected_einstein_constant is None:
         return [], ["certificates need square alpha-beta data",
                     "no Einstein constant is known for this metric"]
-    vals = [einstein_residual(b.metric, x, y, b.expected_einstein_constant)
-            for x, y in zip(pts, dirs)]
+    vals = [ctx.table.flag(k).einstein_residual(b.expected_einstein_constant)
+            for k in range(len(ctx.table))]
     return [_stat_entry(ctx, "einstein/finsler-residual", vals,
                         {"constant": b.expected_einstein_constant})], []
 
@@ -125,8 +128,8 @@ def _suite_cfc(ctx: SuiteContext):
         return [], ["no constant flag curvature is known for this metric"]
     K = b.expected_flag
     flags, resid = [], []
-    for x, y, u in zip(ctx.samples.points, ctx.samples.directions, ctx.samples.edges):
-        cd = curvature_data(b.metric, x, y)
+    for k, u in enumerate(ctx.samples.edges):
+        cd = ctx.table.flag(k)
         flags.append(abs(cd.flag_curvature(u) - K))
         resid.append(cd.cfc_residual(K))
     return [
@@ -205,10 +208,7 @@ def _suite_douglas(ctx: SuiteContext):
 
 
 def _suite_closed(ctx: SuiteContext):
-    b = ctx.bundle
-    cert = sq.check_closedness(b.alpha, b.beta, ctx.samples.points,
-                               ctx.samples.directions,
-                               tolerances=ctx.cert_tols("closed/skew"))
+    cert = sq.check_closedness(ctx.table, tolerances=ctx.cert_tols("closed/skew"))
     return [_cert_entry("closed/skew", cert)], []
 
 
@@ -219,8 +219,7 @@ def _suite_spray_deform(ctx: SuiteContext):
     checks = []
     for kind in ("conformal", "reduced"):
         res = sq.deformed_spray_residual(
-            b.alpha, b.beta, ctx.samples.points, ctx.samples.directions, kind=kind,
-            tolerances=ctx.cert_tols(f"spray-deform/{kind}"))
+            ctx.table, kind=kind, tolerances=ctx.cert_tols(f"spray-deform/{kind}"))
         checks.append(_cert_entry(f"spray-deform/{kind}", res))
     return checks, []
 
@@ -237,7 +236,7 @@ def _suite_warped(ctx: SuiteContext):
     if ctx.bundle.construction is not None:
         cm = ctx.bundle.construction
         cert = sq.check_reduced_pair(
-            cm.reduced_metric, cm.reduced_form, ctx.samples.points,
+            SampleTable(cm.metric_reduced, ctx.samples.points),
             tolerances=ctx.cert_tols("warped/reduced-certificate"))
         checks.append(_cert_entry("warped/reduced-certificate", cert))
     return checks, []
@@ -261,7 +260,8 @@ def run_suites(bundle: MetricBundle, cfg: RunConfig) -> list[SuiteResult]:
     """Run the configured suites over one bundle, in the requested order."""
     samples = sample_inputs(bundle.alpha, bundle.beta, cfg.samples, cfg.seed,
                             max_x=cfg.max_x, b_cap=cfg.b_cap)
-    ctx = SuiteContext(bundle=bundle, samples=samples, config=cfg)
+    ctx = SuiteContext(bundle=bundle, samples=samples, config=cfg,
+                       table=SampleTable(bundle.metric, samples.points, samples.directions))
 
     def run_one(name: str) -> SuiteResult:
         checks, skipped = _SUITES[name](ctx)

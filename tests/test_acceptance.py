@@ -24,7 +24,7 @@ from finsq.finsler import (
     spray_closed_form,
 )
 from finsq.registry import resolve_metric
-from finsq.sampling import sample_inputs
+from finsq.sampling import SampleTable, sample_inputs
 from finsq.square import randers_phi, square_metric
 
 
@@ -71,7 +71,7 @@ def test_02_einstein_construction_is_ricci_flat(warped4):
     ss = sample_inputs(cm.alpha, cm.beta, 100, seed=103)
     worst = max(einstein_residual(cm.metric, x, y, 0.0)
                 for x, y in zip(ss.points, ss.directions))
-    cert = sq.check_einstein_square(cm.alpha, cm.beta, ss.points, ss.directions)
+    cert = sq.check_einstein_square(SampleTable(cm.metric, ss.points, ss.directions))
     dev = abs(cert.constant - 1.0)
     ok = worst <= 1e-6 and cert.passed and dev <= 1e-4
     _verdict("einstein-construction", ok,
@@ -170,8 +170,8 @@ def test_07_spray_deformation_identities(warped4):
     ss = sample_inputs(cm.alpha, cm.beta, 50, seed=110)
     worst = {}
     for kind in ("conformal", "reduced"):
-        cert = sq.deformed_spray_residual(cm.alpha, cm.beta, ss.points,
-                                          ss.directions, kind=kind)
+        cert = sq.deformed_spray_residual(SampleTable(cm.metric, ss.points, ss.directions),
+                                          kind=kind)
         worst[kind] = cert.residuals["identity"].max
     top = max(worst.values())
     ok = top <= 1e-7

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import finsq.cli as cli
-from finsq import finsler
+from finsq import finsler, geometry, square
 from finsq.config import SUITE_NAMES, ConfigError, load_config, parse_config
 from finsq.registry import MetricResolutionError, builtin_names, resolve_metric
 from finsq.reporting import build_report, dumps, validate_report
@@ -56,6 +56,15 @@ class TestConfig:
          "tolerances/spray-deform/conformal"),
         ({"metric": "berwald", "tolerances": {"einstein/certificate": 1e-3}},
          "tolerances/einstein/certificate"),
+        # JSON Infinity and NaN pass every numeric bound of the schemas
+        ({"metric": "berwald", "tolerances": {"cfc/flag": float("inf")}},
+         "tolerances/cfc/flag: Infinity is not a finite number"),
+        ({"metric": "berwald", "max_x": float("nan")}, "max_x: NaN is not a finite number"),
+        ({"metric": {"name": "sphere", "kappa": float("inf")}}, "metric/kappa: Infinity"),
+        ({"metric": {"family": {"q": [0.1, float("nan"), 0.0]}}}, "metric/family/q/1: NaN"),
+        # a refusal names the failing field of the oneOf branch
+        ({"metric": {"name": "berwald", "dim": 7}},
+         "config/metric: dim: 7 is greater than the maximum of 6"),
     ])
     def test_rejects_with_path(self, doc, needle):
         with pytest.raises(ConfigError) as err:
@@ -226,6 +235,52 @@ class TestRunSuites:
                                                    "einstein/scale-certificate"]
         assert len(calls) == 3
 
+    @staticmethod
+    def _count_builds(monkeypatch, alpha=None):
+        """Count point bundles, spray solves, and Riemannian sprays of alpha."""
+        calls = {"beta_derivatives": 0, "spray_jets": 0, "geodesic_spray": 0}
+
+        def counter(module, name, inner):
+            def counted(*args):
+                if name != "geodesic_spray" or args[0] is alpha:
+                    calls[name] += 1
+                return inner(*args)
+            monkeypatch.setattr(module, name, counted)
+
+        counter(geometry, "beta_derivatives", geometry.beta_derivatives)
+        counter(finsler, "spray_jets", finsler.spray_jets)
+        # square names geodesic_spray itself, for the deformed pairs' sprays
+        counter(geometry, "geodesic_spray", geometry.geodesic_spray)
+        counter(square, "geodesic_spray", square.geodesic_spray)
+        return calls
+
+    def test_run_builds_each_bundle_once(self, monkeypatch):
+        # every suite reads one sample table: one point bundle per sample,
+        # one flag solve shared by cfc and einstein plus douglas's own, and
+        # one spray of alpha shared by both spray-deform kinds
+        bundle = resolve_metric("berwald")
+        calls = self._count_builds(monkeypatch, bundle.alpha)
+        cfg = parse_config({"metric": "berwald", "samples": 3})
+        assert all(r.passed for r in run_suites(bundle, cfg))
+        assert calls == {"beta_derivatives": 3, "spray_jets": 3 + 3, "geodesic_spray": 3}
+
+    def test_cfc_and_einstein_share_flag_bundles(self, monkeypatch):
+        calls = self._count_builds(monkeypatch)
+        cfg = parse_config({"metric": "sphere", "suites": ["cfc", "einstein"], "samples": 3})
+        assert all(r.passed for r in run_suites(resolve_metric(cfg.metric), cfg))
+        assert calls["spray_jets"] == 3
+
+    @pytest.mark.parametrize("metric", ["berwald", CONSTRUCT])
+    def test_suite_results_do_not_depend_on_order(self, metric):
+        def run(suites):
+            cfg = parse_config({"metric": metric, "suites": suites, "samples": 3})
+            return {r.name: r.to_json() for r in run_suites(resolve_metric(cfg.metric), cfg)}
+
+        together = run(list(SUITE_NAMES))
+        assert run(list(reversed(SUITE_NAMES))) == together
+        for name in SUITE_NAMES:
+            assert run([name]) == {name: together[name]}
+
     def test_einstein_default_tolerances_are_the_square_table(self):
         # every residual of a default run, not only the einstein certificates,
         # is judged against its suites.TOLERANCES entry
@@ -356,6 +411,14 @@ class TestCommandLine:
         ["construct", "--factor", "flat", "--c", "1.0"],
         ["check", "--metric", '{"construct": {"c": 0, "d": 0.5}}', "--suites", "einstein",
          "--samples", "3"],
+        ["check", "--metric", '{"name": "sphere", "kappa": Infinity}', "--samples", "3"],
+        ["check", "--metric", '{"name": "randers-grad", "scale": NaN}', "--samples", "3"],
+        ["eval", "--metric", '{"name": "sphere", "kappa": Infinity}', "--x", "0.1,0.1,0.1",
+         "--y", "1,0,0"],
+        ["eval", "--metric", '{"name": "berwald", "dim": 7}', "--x", "0,0,0,0,0,0,0",
+         "--y", "1,0,0,0,0,0,0"],
+        ["construct", "--c", "inf"],
+        ["construct", "--d", "nan"],
     ])
     def test_usage_errors_exit_two(self, argv, capsys):
         code = cli.main(argv)

@@ -7,6 +7,7 @@ from finsq import construct as con
 from finsq import geometry as geo
 from finsq import square as sq
 from finsq.finsler import flag_curvature, ricci
+from finsq.sampling import SampleTable
 
 from conftest import philox
 
@@ -64,7 +65,7 @@ class TestBuildWarped:
         spec = con.WarpedProductSpec(con.sphere_factor(2, 1.0), 1.0, 0.5)
         w, z = con.build_warped(spec)
         pts = warped_points(philox(81), spec, 8)
-        cert = sq.check_reduced_pair(w, z, pts)
+        cert = sq.check_reduced_pair(SampleTable(sq.square_from_reduced_pair(w, z), pts))
         assert cert.passed
         assert cert.constant == pytest.approx(1.0, abs=1e-12)
         assert cert.residuals["homothety"].max <= 1e-13
@@ -74,7 +75,7 @@ class TestBuildWarped:
         spec = con.WarpedProductSpec(con.flat_factor(2), 0.0, 0.5)
         w, z = con.build_warped(spec)
         pts = warped_points(philox(82), spec, 6)
-        cert = sq.check_reduced_pair(w, z, pts)
+        cert = sq.check_reduced_pair(SampleTable(sq.square_from_reduced_pair(w, z), pts))
         assert cert.passed
         assert cert.constant == pytest.approx(0.0, abs=1e-13)
 
@@ -103,7 +104,7 @@ class TestConstruction:
         spec = con.WarpedProductSpec(con.sphere_factor(m, 1.0), 1.0, 0.5)
         cm = con.construct_einstein_square(spec)
         pts = warped_points(philox(seed), spec, 6)
-        cert = sq.check_einstein_square(cm.alpha, cm.beta, pts)
+        cert = sq.check_einstein_square(SampleTable(cm.metric, pts))
         assert cert.passed
         assert cert.constant == pytest.approx(1.0, abs=1e-10)
 
@@ -133,7 +134,7 @@ class TestConstruction:
         cm = con.construct_einstein_square(spec)
         pts = warped_points(philox(88), spec, 6)
         for kind in ("conformal", "reduced"):
-            cert = sq.deformed_spray_residual(cm.alpha, cm.beta, pts, kind=kind)
+            cert = sq.deformed_spray_residual(SampleTable(cm.metric, pts), kind=kind)
             assert cert.passed
             assert cert.residuals["identity"].max <= 1e-12
 
@@ -160,7 +161,7 @@ class TestBerwaldFamily:
         pts = rng.uniform(lo, hi, (6, 3))
         pts = pts[[cm.alpha.domain(p) for p in pts]]
         assert len(pts) >= 4
-        cert = sq.check_einstein_square(cm.alpha, cm.beta, pts)
+        cert = sq.check_einstein_square(SampleTable(cm.metric, pts))
         assert cert.passed
         assert cert.constant == pytest.approx(0.7, abs=1e-10)
         y = rng.uniform(-1.0, 1.0, 3)
@@ -173,7 +174,7 @@ class TestBerwaldFamily:
         assert cm.alpha.domain(x)
         rng = philox(90)
         pts = rng.uniform(-0.4, 0.4, (5, 3))
-        cert = sq.check_einstein_square(cm.alpha, cm.beta, pts)
+        cert = sq.check_einstein_square(SampleTable(cm.metric, pts))
         assert cert.passed
         assert cert.constant == pytest.approx(0.0, abs=1e-12)
 

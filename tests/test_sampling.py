@@ -1,0 +1,95 @@
+"""Sample generation and the per-run sample table."""
+
+import numpy as np
+import pytest
+
+from finsq import geometry as geo
+from finsq import square as sq
+from finsq.finsler import GeneralABMetric
+from finsq.sampling import SampleTable, SamplingError, sample_inputs
+
+from conftest import philox
+
+
+def _constant_metric(n, value, name):
+    return geo.RiemannMetric(n, lambda X: [[value] * n for _ in range(n)], name)
+
+
+class TestSampleInputs:
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0])
+    def test_degenerate_matrix_is_a_labelled_refusal(self, value):
+        # every direction has alpha-norm nan, inf*0 or 0: the rejection
+        # loops must give up after the draw limit instead of spinning
+        alpha = _constant_metric(3, value, "degenerate")
+        with pytest.raises(SamplingError, match="degenerate"):
+            sample_inputs(alpha, None, 2, seed=0)
+
+    def test_rank_one_matrix_has_no_transverse_edge(self):
+        # a = e e^T: every direction of positive norm is parallel to every
+        # other in the a-inner product, so no flag edge is transverse
+        alpha = _constant_metric(3, 1.0, "rank-one")
+        with pytest.raises(SamplingError, match="flag edge"):
+            sample_inputs(alpha, None, 2, seed=0)
+
+
+class TestSampleTable:
+
+    def _table(self, k=3):
+        al, be = geo.berwald_data(3)
+        return SampleTable(sq.square_metric(al, be), philox(5).uniform(-0.3, 0.3, (k, 3)))
+
+    def test_each_bundle_built_once(self, monkeypatch):
+        calls = {"beta_derivatives": 0, "geodesic_spray": 0}
+        for name in calls:
+            inner = getattr(geo, name)
+
+            def counted(*args, _name=name, _inner=inner):
+                calls[_name] += 1
+                return _inner(*args)
+
+            monkeypatch.setattr(geo, name, counted)
+        table = self._table()
+        for _ in range(2):
+            for k in range(3):
+                assert table.point(k) is table.point(k)
+                assert table.alpha_spray(k) is table.alpha_spray(k)
+        assert table.flag(1) is table.flag(1)
+        assert calls == {"beta_derivatives": 3, "geodesic_spray": 3}
+
+    def test_bundles_match_direct_builds(self):
+        table = self._table()
+        x, y = table.points[2], table.directions[2]
+        direct = geo.beta_derivatives(table.alpha, table.beta, x)
+        assert np.array_equal(table.point(2).bij, direct.bij)
+        assert np.array_equal(table.alpha_spray(2), geo.geodesic_spray(table.alpha, x, y))
+
+    def test_failed_build_is_not_cached(self, monkeypatch):
+        inner = geo.beta_derivatives
+        calls = []
+
+        def flaky(*args):
+            calls.append(1)
+            if len(calls) == 1:
+                raise ArithmeticError("first build fails")
+            return inner(*args)
+
+        monkeypatch.setattr(geo, "beta_derivatives", flaky)
+        table = self._table()
+        with pytest.raises(ArithmeticError, match="first build fails"):
+            table.point(0)
+        bd = table.point(0)
+        assert table.point(0) is bd
+        assert len(calls) == 2
+
+    def test_one_direction_per_point(self):
+        al, be = geo.berwald_data(3)
+        with pytest.raises(ValueError, match="one direction per point"):
+            SampleTable(sq.square_metric(al, be), np.zeros((3, 3)), np.ones((2, 3)))
+
+    def test_einstein_certificate_needs_the_square_metric(self):
+        table = SampleTable(sq.square_metric(*geo.berwald_data(3)), np.zeros((2, 3)))
+        randers = GeneralABMetric(table.alpha, table.beta, sq.randers_phi())
+        with pytest.raises(ValueError, match="square metric"):
+            sq.check_einstein_square(SampleTable(randers, table.points))

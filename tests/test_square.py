@@ -13,6 +13,7 @@ import pytest
 from finsq import geometry as geo
 from finsq import square as sq
 from finsq.finsler import GeneralABMetric, f_value
+from finsq.sampling import SampleTable
 
 from conftest import philox
 
@@ -147,7 +148,7 @@ class TestEinsteinCertificates:
     def test_flat_example_passes_with_unit_constant(self, n):
         al, be = berwald_pair(n)
         pts = inner_points(philox(61), 6, n)
-        cert = sq.check_einstein_square(al, be, pts)
+        cert = sq.check_einstein_square(SampleTable(sq.square_metric(al, be), pts))
         assert cert.passed
         assert cert.constant == pytest.approx(1.0, abs=1e-10)
         assert cert.residuals["covariant"].max <= 1e-12
@@ -158,7 +159,7 @@ class TestEinsteinCertificates:
     def test_scale_system_passes_on_flat_example(self):
         al, be = berwald_pair()
         pts = inner_points(philox(62), 6, 3)
-        cert = sq.check_einstein_scale_system(al, be, pts)
+        cert = sq.check_einstein_scale_system(SampleTable(sq.square_metric(al, be), pts))
         assert cert.passed
         assert cert.constant == pytest.approx(1.0, abs=1e-10)
         assert cert.residuals["gradient"].max <= 1e-12
@@ -189,22 +190,26 @@ class TestEinsteinCertificates:
     def test_pair_certificates(self):
         al, be = berwald_pair()
         pts = inner_points(philox(63), 6, 3)
-        cc = sq.check_conformal_pair(*sq.to_conformal_pair(al, be), pts)
+        conformal = GeneralABMetric(*sq.to_conformal_pair(al, be),
+                                    sq.phi_library()["square-conformal"])
+        cc = sq.check_conformal_pair(SampleTable(conformal, pts))
         assert cc.passed and cc.constant == pytest.approx(1.0, abs=1e-10)
-        cr = sq.check_reduced_pair(*sq.to_reduced_pair(al, be), pts)
+        cr = sq.check_reduced_pair(SampleTable(sq.square_from_reduced_pair(*sq.to_reduced_pair(al, be)), pts))
         assert cr.passed and cr.constant == pytest.approx(1.0, abs=1e-10)
 
     def test_closedness_accepts_closed_and_rejects_drift(self):
         al, be = berwald_pair()
         pts = inner_points(philox(64), 6, 3)
-        assert sq.check_closedness(al, be, pts).passed
-        bad = sq.check_closedness(geo.euclidean(3), geo.drift_form(3, 0.4), pts)
+        assert sq.check_closedness(SampleTable(sq.square_metric(al, be), pts)).passed
+        drift = sq.square_metric(geo.euclidean(3), geo.drift_form(3, 0.4))
+        bad = sq.check_closedness(SampleTable(drift, pts))
         assert not bad.passed
         assert bad.residuals["skew"].max > 1e-2
 
     def test_sphere_gradient_is_not_einstein_square(self):
         pts = inner_points(philox(65), 6, 3)
-        cert = sq.check_einstein_square(geo.sphere(3, 1.0), geo.gradient_form(3, 0.3), pts)
+        gradient = sq.square_metric(geo.sphere(3, 1.0), geo.gradient_form(3, 0.3))
+        cert = sq.check_einstein_square(SampleTable(gradient, pts))
         assert not cert.passed
         assert cert.residuals["alpha-ricci"].max > 0.1
 
@@ -212,7 +217,7 @@ class TestEinsteinCertificates:
         al, be = berwald_pair()
         pts = np.array([[0.1, 0.0, 0.0], [0.0, 0.2, 0.0], [0.6, 0.0, 0.0],
                         [0.0, 0.0, 0.15], [0.0, 0.7, 0.0]])
-        cert = sq.check_einstein_square(al, be, pts, b_cap=0.5)
+        cert = sq.check_einstein_square(SampleTable(sq.square_metric(al, be), pts), b_cap=0.5)
         assert cert.samples_used == 3
         assert cert.samples_skipped == 2
 
@@ -224,7 +229,7 @@ class TestEinsteinCertificates:
                         [0.0, 0.0, 0.15]])
         dirs = np.array([[0.0, 0.0, 0.0], [1.0, 0.2, -0.3], [0.4, 1.0, 0.1],
                          [-0.2, 0.5, 1.0]])
-        cert = sq.check_einstein_square(al, be, pts, dirs)
+        cert = sq.check_einstein_square(SampleTable(sq.square_metric(al, be), pts, dirs))
         assert cert.passed
         assert cert.samples_used == 3
         assert cert.samples_skipped == 1
@@ -233,12 +238,12 @@ class TestEinsteinCertificates:
         al, be = berwald_pair()
         pts = np.array([[0.97, 0.0, 0.0], [0.0, 0.99, 0.0]])
         with pytest.raises(sq.InsufficientSamplesError):
-            sq.check_einstein_square(al, be, pts)
+            sq.check_einstein_square(SampleTable(sq.square_metric(al, be), pts))
 
     def test_certificate_json_shape(self):
         al, be = berwald_pair()
         pts = inner_points(philox(66), 4, 3)
-        doc = sq.check_einstein_square(al, be, pts).to_json()
+        doc = sq.check_einstein_square(SampleTable(sq.square_metric(al, be), pts)).to_json()
         assert doc["passed"] is True
         assert set(doc["residuals"]) == {"covariant", "alpha-ricci", "finsler-ricci"}
         assert doc["residuals"]["covariant"]["count"] == 4
@@ -250,7 +255,7 @@ class TestSprayDeformation:
     def test_identity_on_flat_example(self, kind):
         al, be = berwald_pair()
         pts = inner_points(philox(71), 6, 3)
-        res = sq.deformed_spray_residual(al, be, pts, kind=kind)
+        res = sq.deformed_spray_residual(SampleTable(sq.square_metric(al, be), pts), kind=kind)
         assert res.residuals["identity"].max <= 1e-12
         assert res.residuals["precondition"].max <= 1e-12
         assert res.passed
@@ -258,11 +263,12 @@ class TestSprayDeformation:
     def test_precondition_flagged_when_violated(self):
         # a drift form does not satisfy the covariant equation for any tau
         pts = inner_points(philox(72), 6, 3)
-        res = sq.deformed_spray_residual(geo.euclidean(3), geo.drift_form(3, 0.4),
-                                         pts, kind="conformal")
+        drift = sq.square_metric(geo.euclidean(3), geo.drift_form(3, 0.4))
+        res = sq.deformed_spray_residual(SampleTable(drift, pts), kind="conformal")
         assert res.residuals["precondition"].max > 1e-3
 
     def test_unknown_kind_rejected(self):
         al, be = berwald_pair()
         with pytest.raises(ValueError):
-            sq.deformed_spray_residual(al, be, np.zeros((3, 3)), kind="spherical")
+            sq.deformed_spray_residual(SampleTable(sq.square_metric(al, be), np.zeros((3, 3))),
+                                       kind="spherical")
