@@ -13,9 +13,7 @@ from .jets import (
     JetDomainError,
     TruncationError,
     backend_name,
-    differentiate_vectorfield,
     fd_partial,
-    partial,
     seed,
     seed_pair,
 )
@@ -39,10 +37,8 @@ from .finsler import (
     GeneralABMetric,
     PhiFunction,
     StrongConvexityError,
-    cfc_residual,
     curvature_data,
     douglas_tensor,
-    einstein_residual,
     f_value,
     flag_curvature,
     fundamental_tensor,
@@ -57,10 +53,8 @@ from .geometry import (
     RiemannMetric,
     beta_derivatives,
     berwald_data,
-    christoffels,
     euclidean,
     geodesic_spray,
-    ricci_curvature,
     ricci_tensor,
     sphere,
     validate_chart,
@@ -87,15 +81,13 @@ from .square import (
 )
 
 __all__ = [
-    "Jet", "DerivativeSpec", "seed", "seed_pair", "partial",
-    "differentiate_vectorfield", "fd_partial", "backend_name",
+    "Jet", "DerivativeSpec", "seed", "seed_pair", "fd_partial", "backend_name",
     "TruncationError", "JetDomainError",
     "RiemannMetric", "OneFormField", "euclidean", "sphere", "berwald_data",
-    "christoffels", "geodesic_spray", "ricci_tensor", "ricci_curvature",
-    "beta_derivatives", "validate_chart",
+    "geodesic_spray", "ricci_tensor", "beta_derivatives", "validate_chart",
     "PhiFunction", "GeneralABMetric", "f_value", "fundamental_tensor",
     "spray", "spray_jets", "spray_closed_form", "riemann_curvature", "ricci",
-    "flag_curvature", "cfc_residual", "einstein_residual", "douglas_tensor",
+    "flag_curvature", "douglas_tensor",
     "DouglasTensor", "curvature_data", "StrongConvexityError", "DegenerateFlagError",
     "phi_library", "randers_phi", "square_metric", "phi_pde_residual",
     "to_conformal_pair", "from_conformal_pair", "to_reduced_pair", "from_reduced_pair",

@@ -31,7 +31,7 @@ from .finsler import (
     ricci,
     spray,
 )
-from .geometry import one_form_norm_sq
+from .geometry import ChartError, one_form_norm_sq, validate_chart
 from .registry import MetricResolutionError, builtin_names, resolve_metric
 from .reporting import build_report, dumps
 from .sampling import SampleTable, SamplingError, sample_inputs
@@ -170,6 +170,7 @@ def _cmd_eval(args) -> int:
         raise ConfigError(f"--x and --y must have {n} components for {bundle.name}")
     if not bundle.alpha.domain(x):
         raise ConfigError(f"--x lies outside the chart of {bundle.name}")
+    validate_chart(bundle.alpha, [x])
     b2 = float(one_form_norm_sq(bundle.alpha, bundle.beta, x.tolist()))
     if not b2 < 1.0:
         raise ConfigError(f"--x: b^2 = {b2:.6g}, but {bundle.name} needs b < 1")
@@ -214,7 +215,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         for name in builtin_names():
             print(name)
         return 0
-    except (ConfigError, MetricResolutionError, con.ConstructionError, DegenerateFlagError) as exc:
+    except (ConfigError, MetricResolutionError, con.ConstructionError, ChartError,
+            DegenerateFlagError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (SamplingError, sq.InsufficientSamplesError, StrongConvexityError) as exc:

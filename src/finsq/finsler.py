@@ -27,7 +27,7 @@ import numpy as np
 from . import linalg
 from .geometry import OneFormField, RiemannMetric, Scalar, beta_derivatives, geodesic_spray, one_form_norm_sq
 from .jets import DerivativeSpec, Jet, fd_partial, seed_pair, sqrt
-from .jetspace import jet_space, xy_space
+from .jetspace import xy_space
 
 
 class StrongConvexityError(ArithmeticError):
@@ -42,10 +42,9 @@ class DegenerateFlagError(ValueError):
 class PhiFunction:
     """The profile function of an (alpha, beta)-metric.
 
-    kind "plain": fn(s), with optional closed-form derivatives d1 = phi',
-    d2 = phi''.  kind "general": fn(b2, s).  In both cases fn must be built
-    from arithmetic and sqrt so jets can flow through it.  A missing plain
-    derivative is taken from a one-variable jet over a float argument s.
+    kind "plain": fn(s) with its closed-form derivatives d1 = phi' and
+    d2 = phi'', both required.  kind "general": fn(b2, s).  In both cases
+    fn must be built from arithmetic and sqrt so jets can flow through it.
     """
 
     name: str
@@ -54,6 +53,10 @@ class PhiFunction:
     d1: Optional[Callable] = None
     d2: Optional[Callable] = None
     domain: Callable[[float, float], bool] = lambda b2, s: True
+
+    def __post_init__(self):
+        if self.kind == "plain" and (self.d1 is None or self.d2 is None):
+            raise ValueError(f"plain profile {self.name!r} needs closed-form d1 and d2")
 
     def value(self, b2, s):
         if self.kind == "plain":
@@ -64,10 +67,11 @@ class PhiFunction:
         """phi', phi'' for plain kind, at a float argument."""
         if self.kind != "plain":
             raise ValueError("scalar derivatives are a plain-kind operation")
-        closed = self.d1 if order == 1 else self.d2 if order == 2 else None
-        if closed is not None:
-            return closed(s)
-        return _jet_derivative(self.fn, s, order)
+        if order == 1:
+            return self.d1(s)
+        if order == 2:
+            return self.d2(s)
+        raise ValueError(f"no closed form for phi derivative of order {order}")
 
     def partials(self, b2: float, s: float) -> tuple[float, float, float, float, float, float]:
         """(phi, phi_1, phi_2, phi_11, phi_12, phi_22) at a float argument,
@@ -86,13 +90,6 @@ class PhiFunction:
             float(p.partial((1, 1))),
             float(p.partial((0, 2))),
         )
-
-
-def _jet_derivative(fn, s, order):
-    t = Jet.variable(jet_space((0,), (order,)), 0, s)
-    p = fn(t)
-    # a profile that ignores its argument returns a plain number
-    return float(p.partial((order,))) if isinstance(p, Jet) else 0.0
 
 
 @dataclass(frozen=True)
@@ -302,16 +299,6 @@ def ricci(M: GeneralABMetric, x, y, method: str = "jet") -> float:
 def flag_curvature(M: GeneralABMetric, x, y, u) -> float:
     """Flag curvature of the flag with pole y and transverse edge u."""
     return curvature_data(M, x, y).flag_curvature(u)
-
-
-def cfc_residual(M: GeneralABMetric, x, y, K: float) -> float:
-    """Deviation of R^i_k from constant flag curvature K at one flag."""
-    return curvature_data(M, x, y).cfc_residual(K)
-
-
-def einstein_residual(M: GeneralABMetric, x, y, c: Callable[[np.ndarray], float] | float) -> float:
-    """|Ric - (n-1) c(x) F^2| / F^2 at one sample."""
-    return curvature_data(M, x, y).einstein_residual(c)
 
 
 # -- Douglas tensor -------------------------------------------------------------

@@ -6,9 +6,10 @@ Everything downstream (Christoffel symbols, geodesic spray, Ricci, covariant
 derivatives) differentiates them by seeding jets, so a chart is usable as
 long as its components are built from ring operations and square roots.
 
-Index conventions: christoffels(alpha, x)[i][j][k] is Gamma^i_{jk}; the
-covariant derivative of a one-form is b_{i|j} = d_j b_i - Gamma^k_{ij} b_k;
-the Ricci sign makes the round sphere positive.
+Index conventions: a Christoffel array gamma[i, j, k] is Gamma^i_{jk}, the
+upper index first; the covariant derivative of a one-form is
+b_{i|j} = d_j b_i - Gamma^k_{ij} b_k; the Ricci sign makes the round sphere
+positive.
 """
 
 from __future__ import annotations
@@ -79,16 +80,26 @@ def _unit(n: int, *vars_: int) -> tuple[int, ...]:
 
 
 def validate_chart(alpha: RiemannMetric, points: Sequence[Sequence[float]]) -> None:
-    """Raise ChartError if components are asymmetric or not positive definite."""
+    """Raise ChartError if components are not finite, asymmetric or not
+    positive definite to working precision."""
     for x in points:
         A = alpha.matrix(x)
         if A.shape != (alpha.dim, alpha.dim):
-            raise ChartError(f"{alpha.name}: component shape {A.shape} at {tuple(x)}")
+            raise ChartError(f"{alpha.name}: component shape {A.shape} at x = {_point(x)}")
+        if not np.all(np.isfinite(A)):
+            raise ChartError(f"{alpha.name}: non-finite components at x = {_point(x)}")
         scale = float(np.max(np.abs(A))) or 1.0
         if float(np.max(np.abs(A - A.T))) > 1e-12 * scale:
-            raise ChartError(f"{alpha.name}: non-symmetric components at {tuple(x)}")
-        if float(np.linalg.eigvalsh(A)[0]) <= 0.0:
-            raise ChartError(f"{alpha.name}: not positive definite at {tuple(x)}")
+            raise ChartError(f"{alpha.name}: non-symmetric components at x = {_point(x)}")
+        ev = np.linalg.eigvalsh(A)
+        # a singular matrix rounds to an eigenvalue of either sign near eps
+        if float(ev[0]) <= alpha.dim * np.finfo(float).eps * abs(float(ev[-1])):
+            raise ChartError(f"{alpha.name}: not positive definite at x = {_point(x)} "
+                             f"(eigenvalues {ev[0]:.3g} to {ev[-1]:.3g})")
+
+
+def _point(x) -> list[float]:
+    return [float(v) for v in x]
 
 
 # -- connection and curvature -------------------------------------------------
@@ -142,12 +153,6 @@ def _ricci(gamma: np.ndarray, dgamma: np.ndarray) -> np.ndarray:
     return 0.5 * (ric + ric.T)
 
 
-def christoffels(alpha: RiemannMetric, x: Sequence[float]) -> np.ndarray:
-    """Christoffel symbols Gamma^i_{jk} at a point, shape (n, n, n)."""
-    X = seed(x, np.eye(alpha.dim), 2)
-    return _levi_civita(alpha.components(X), X)[3]
-
-
 def geodesic_spray(alpha: RiemannMetric, x: Sequence[float], y: Sequence[float]) -> np.ndarray:
     """Spray coefficients G^i = (1/4) a^{il} ([a^2]_{x^k y^l} y^k - [a^2]_{x^l}).
 
@@ -168,11 +173,6 @@ def geodesic_spray(alpha: RiemannMetric, x: Sequence[float], y: Sequence[float])
     return 0.25 * np.linalg.solve(a0, rhs)
 
 
-def spray_from_christoffels(alpha: RiemannMetric, x, y) -> np.ndarray:
-    y = np.asarray(y, float)
-    return 0.5 * np.einsum("ijk,j,k->i", christoffels(alpha, x), y, y)
-
-
 def ricci_tensor(alpha: RiemannMetric, x: Sequence[float]) -> np.ndarray:
     """Ricci tensor by the classical curvature contraction of Christoffel
     symbols and their first x-derivatives, read off second-order jets of
@@ -182,18 +182,7 @@ def ricci_tensor(alpha: RiemannMetric, x: Sequence[float]) -> np.ndarray:
     return _ricci(gamma, dgamma)
 
 
-def ricci_curvature(alpha: RiemannMetric, x, y) -> float:
-    """Ricci curvature Ric(y, y) of the metric at (x, y)."""
-    y = np.asarray(y, float)
-    return float(y @ ricci_tensor(alpha, x) @ y)
-
-
 # -- one-form calculus ---------------------------------------------------------
-
-
-def covariant_derivative(alpha: RiemannMetric, beta: OneFormField, x) -> np.ndarray:
-    """b_{i|j} with respect to alpha's Levi-Civita connection, shape (n, n)."""
-    return beta_derivatives(alpha, beta, x).bij
 
 
 @dataclass(frozen=True)
@@ -238,10 +227,6 @@ class BetaDerivatives:
         """s_0 = b^i s_{i0}."""
         return float(self.b_upper @ self.s0_lower(y))
 
-    def trace_r(self) -> float:
-        """a^{ij} r_ij = a^{ij} b_{i|j} (the skew part is traceless)."""
-        return float(np.sum(self.ainv * self.r))
-
 
 def beta_derivatives(alpha: RiemannMetric, beta: OneFormField, x) -> BetaDerivatives:
     """The point bundle, from one evaluation of a_ij and b_i on second-order jets."""
@@ -269,12 +254,6 @@ def one_form_norm_sq(alpha: RiemannMetric, beta: OneFormField, X: Sequence[Scala
     return linalg.dot(list(B), v)
 
 
-def one_form_norm(alpha: RiemannMetric, beta: OneFormField, x) -> float:
-    import math
-
-    return math.sqrt(max(0.0, _val(one_form_norm_sq(alpha, beta, [float(v) for v in x]))))
-
-
 # -- builtin charts ------------------------------------------------------------
 
 
@@ -300,20 +279,6 @@ def sphere(n: int, kappa: float = 1.0) -> RiemannMetric:
         return [[f if i == j else 0.0 for j in range(n)] for i in range(n)]
 
     return RiemannMetric(dim=n, components=comp, name=f"sphere-{n}-k{kappa:g}")
-
-
-def conformal_poly(n: int) -> RiemannMetric:
-    """(1 + x_1)^2 delta_ij: a rational conformal chart used as a test oracle."""
-
-    def comp(X):
-        w = 1.0 + X[0]
-        f = w * w
-        return [[f if i == j else 0.0 for j in range(n)] for i in range(n)]
-
-    return RiemannMetric(
-        dim=n, components=comp, name=f"conformal-poly-{n}",
-        domain=lambda x: 1.0 + x[0] > 0.05,
-    )
 
 
 def zero_form(n: int) -> OneFormField:

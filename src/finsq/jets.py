@@ -32,16 +32,9 @@ from ._kernels import JetDomainError, backend_name
 from .jetspace import JetSpace, jet_space, meet, xy_space
 
 __all__ = [
-    "Jet", "DerivativeSpec", "VectorFieldPartials",
-    "seed", "seed_pair", "partial", "differentiate_vectorfield",
-    "fd_partial", "sqrt",
-    "TruncationError", "SpaceMismatchError", "JetDomainError",
-    "CapabilityError", "FieldEvaluationError", "backend_name",
+    "Jet", "DerivativeSpec", "seed", "seed_pair", "fd_partial", "sqrt",
+    "TruncationError", "SpaceMismatchError", "JetDomainError", "backend_name",
 ]
-
-# Practical ceiling on a single partial's total order; cost grows
-# combinatorially past this and no supported computation needs more.
-MAX_PARTIAL_ORDER = 10
 
 
 class TruncationError(LookupError):
@@ -52,20 +45,8 @@ class SpaceMismatchError(ValueError):
     """Jets over unrelated direction sets were mixed in one operation."""
 
 
-class CapabilityError(ValueError):
-    """A requested derivative order exceeds what the engine supports."""
-
-
-class FieldEvaluationError(RuntimeError):
-    """A user-supplied field failed or returned non-finite values."""
-
-
-def _is_scalar(v) -> bool:
-    return isinstance(v, (numbers.Real, np.floating, np.integer))
-
-
 def _real(v) -> float:
-    if _is_scalar(v):
+    if isinstance(v, (numbers.Real, np.floating, np.integer)):
         return float(v)
     raise TypeError(f"jets take float64 coefficients; cannot combine with {type(v).__name__}")
 
@@ -277,108 +258,6 @@ def seed_pair(
     return X, Y
 
 
-def partial(
-    field: Callable,
-    x: Sequence[float],
-    y: Sequence[float],
-    index: tuple[Sequence[int], Sequence[int]],
-) -> float:
-    """One exact partial derivative of field(X, Y) at (x, y).
-
-    index is a pair (x multi-index, y multi-index).  The field is evaluated
-    once on jets truncated to exactly the requested orders.
-    """
-    xidx, yidx = tuple(index[0]), tuple(index[1])
-    if len(xidx) != len(x) or len(yidx) != len(y):
-        raise ValueError("multi-index lengths must match the point dimensions")
-    xo, yo = sum(xidx), sum(yidx)
-    if xo + yo > MAX_PARTIAL_ORDER:
-        raise CapabilityError(
-            f"partial of total order {xo + yo} exceeds the supported maximum {MAX_PARTIAL_ORDER}"
-        )
-    if xo + yo == 0:
-        raise ValueError("requested partial has order zero; call the field directly")
-    spec = DerivativeSpec(xo, yo)
-    X, Y = seed_pair(x, y, spec)
-    try:
-        f = field(X, Y)
-    except (JetDomainError, ZeroDivisionError) as exc:
-        raise FieldEvaluationError(f"field not evaluable at the base point: {exc}") from exc
-    if not isinstance(f, Jet):
-        return 0.0  # constant field
-    out = float(f.partial(xidx + yidx))
-    if not math.isfinite(out):
-        raise FieldEvaluationError(f"field produced non-finite derivative {out} at {tuple(x)}")
-    return out
-
-
-class VectorFieldPartials:
-    """Partial-derivative table of a vector field over (x, y), backed by jets."""
-
-    def __init__(self, jets: Sequence[Jet], nx: int, ny: int, spec: DerivativeSpec):
-        self.jets = list(jets)
-        self.nx = nx
-        self.ny = ny
-        self.spec = spec
-
-    def value(self, i: int) -> float:
-        return float(self.jets[i].value)
-
-    def _unit(self, xvars: Sequence[int], yvars: Sequence[int]) -> tuple[int, ...]:
-        m = [0] * (self.nx + self.ny)
-        for v in xvars:
-            m[v] += 1
-        for v in yvars:
-            m[self.nx + v] += 1
-        return tuple(m)
-
-    def partial(self, i: int, xvars: Sequence[int] = (), yvars: Sequence[int] = ()) -> float:
-        """Partial along the listed coordinate directions (repeats allowed)."""
-        return float(self.jets[i].partial(self._unit(xvars, yvars)))
-
-    def dx(self, i: int, k: int) -> float:
-        return self.partial(i, (k,), ())
-
-    def dy(self, i: int, m: int) -> float:
-        return self.partial(i, (), (m,))
-
-    def dxdy(self, i: int, k: int, m: int) -> float:
-        return self.partial(i, (k,), (m,))
-
-    def dydy(self, i: int, m: int, k: int) -> float:
-        return self.partial(i, (), (m, k))
-
-
-def differentiate_vectorfield(
-    field: Callable,
-    x: Sequence[float],
-    y: Sequence[float],
-    spec: DerivativeSpec,
-) -> VectorFieldPartials:
-    """Evaluate a vector field on jets and expose its partial table.
-
-    field(X, Y) must return a sequence of scalars (jets or floats).  Failures
-    are re-raised labeled with the failing component.
-    """
-    X, Y = seed_pair(x, y, spec)
-    space = X[0].space if X else Y[0].space
-    try:
-        values = field(X, Y)
-    except (JetDomainError, ZeroDivisionError) as exc:
-        raise FieldEvaluationError(f"vector field not evaluable at the base point: {exc}") from exc
-    jets = []
-    for i, v in enumerate(values):
-        if isinstance(v, Jet):
-            if not np.all(np.isfinite(v.coeffs)):
-                raise FieldEvaluationError(f"component {i} produced non-finite coefficients")
-            jets.append(v)
-        elif _is_scalar(v):
-            jets.append(Jet.constant(space, float(v)))
-        else:
-            raise FieldEvaluationError(f"component {i} returned unsupported type {type(v).__name__}")
-    return VectorFieldPartials(jets, len(x), len(y), spec)
-
-
 # -- finite-difference oracle -------------------------------------------------
 
 
@@ -389,7 +268,6 @@ def fd_partial(
     xidx: Sequence[int],
     yidx: Sequence[int],
     step: float = 1e-3,
-    richardson: bool = True,
 ) -> float:
     """Central finite-difference estimate of one mixed partial.
 
@@ -421,8 +299,6 @@ def fd_partial(
 
         return rec(0, np.asarray(x, float), np.asarray(y, float))
 
-    if not richardson:
-        return estimate(step)
     coarse = estimate(step)
     fine = estimate(step / 2)
     return (4.0 * fine - coarse) / 3.0

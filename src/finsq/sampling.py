@@ -52,11 +52,13 @@ def _draw_point(rng, alpha: RiemannMetric, max_x: float) -> np.ndarray:
 def sample_inputs(alpha: RiemannMetric, beta: Optional[OneFormField], count: int,
                   seed: int, max_x: float = 0.8, b_cap: float = 0.9) -> SampleSet:
     """count accepted samples, rejecting points outside the chart or with
-    b >= b_cap, plus one alpha-unit y and one non-parallel edge u apiece."""
+    b >= b_cap, plus one alpha-unit y and one non-parallel edge u apiece.
+
+    Raises ChartError at the first accepted point whose metric matrix is
+    not finite, symmetric and positive definite."""
     if count < 1:
         raise ValueError("count must be positive")
     rng = rng_for(seed)
-    n = alpha.dim
     limit = max(1000, 1000 * count)
     pts, ys, us = [], [], []
     attempts = 0
@@ -73,6 +75,7 @@ def sample_inputs(alpha: RiemannMetric, beta: Optional[OneFormField], count: int
             b2 = float(one_form_norm_sq(alpha, beta, [float(v) for v in x]))
             if b2 >= b_cap * b_cap:
                 continue
+        geo.validate_chart(alpha, [x])
         a = alpha.matrix(x)
         y = _unit_direction(rng, a, limit, alpha.name)
         u = _transverse_edge(rng, a, y, limit, alpha.name)
@@ -91,7 +94,7 @@ def _unit_direction(rng, a: np.ndarray, limit: int, name: str) -> np.ndarray:
         if norm2 > 1e-6:
             return y / np.sqrt(norm2)
     raise SamplingError(f"{name}: {limit} draws produced no direction of positive "
-                        f"alpha-norm (the metric matrix is degenerate or not finite)")
+                        f"alpha-norm (the metric matrix is nearly degenerate)")
 
 
 def _transverse_edge(rng, a: np.ndarray, y: np.ndarray, limit: int, name: str) -> np.ndarray:
@@ -104,7 +107,7 @@ def _transverse_edge(rng, a: np.ndarray, y: np.ndarray, limit: int, name: str) -
         if abs(cos) <= 0.95:
             return u / np.sqrt(nu)
     raise SamplingError(f"{name}: {limit} draws produced no flag edge transverse to "
-                        f"the direction (the metric matrix is degenerate or not finite)")
+                        f"the direction (the metric matrix is nearly degenerate)")
 
 
 class SampleTable:

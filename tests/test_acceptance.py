@@ -16,8 +16,8 @@ import finsq.construct as con
 import finsq.geometry as geo
 import finsq.square as sq
 from finsq.finsler import (
+    curvature_data,
     douglas_tensor,
-    einstein_residual,
     flag_curvature,
     ricci,
     spray,
@@ -69,7 +69,7 @@ def test_01_flag_flatness_of_square_example():
 def test_02_einstein_construction_is_ricci_flat(warped4):
     cm = warped4
     ss = sample_inputs(cm.alpha, cm.beta, 100, seed=103)
-    worst = max(einstein_residual(cm.metric, x, y, 0.0)
+    worst = max(curvature_data(cm.metric, x, y).einstein_residual(0.0)
                 for x, y in zip(ss.points, ss.directions))
     cert = sq.check_einstein_square(SampleTable(cm.metric, ss.points, ss.directions))
     dev = abs(cert.constant - 1.0)
@@ -127,7 +127,7 @@ def test_04_spray_closed_form_oracle():
 def test_05_riemannian_curvature_oracle():
     sph = resolve_metric({"name": "sphere", "dim": 3, "kappa": 1.3})
     ss = sample_inputs(sph.alpha, None, 25, seed=107)
-    worst_sph = max(einstein_residual(sph.metric, x, y, 1.3)
+    worst_sph = max(curvature_data(sph.metric, x, y).einstein_residual(1.3)
                     for x, y in zip(ss.points, ss.directions))
     euc = resolve_metric("euclidean")
     se = sample_inputs(euc.alpha, None, 25, seed=108)

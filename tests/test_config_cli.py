@@ -419,6 +419,10 @@ class TestCommandLine:
          "--y", "1,0,0,0,0,0,0"],
         ["construct", "--c", "inf"],
         ["construct", "--d", "nan"],
+        # finite kappa whose metric matrix underflows to zero
+        ["check", "--metric", '{"name": "sphere", "kappa": 1e300}', "--samples", "3"],
+        ["eval", "--metric", '{"name": "sphere", "kappa": 1e300}', "--x", "0.1,0.1,0.1",
+         "--y", "1,0,0"],
     ])
     def test_usage_errors_exit_two(self, argv, capsys):
         code = cli.main(argv)

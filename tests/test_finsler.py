@@ -18,7 +18,6 @@ from finsq.finsler import (
     GeneralABMetric,
     PhiFunction,
     StrongConvexityError,
-    cfc_residual,
     curvature_data,
     douglas_tensor,
     f_value,
@@ -32,7 +31,7 @@ from finsq.finsler import (
 )
 from finsq.jets import sqrt
 
-from conftest import philox
+from conftest import conformal_poly, philox
 
 
 def phi_riemannian():
@@ -66,7 +65,7 @@ class TestRiemannianReduction:
 
     @pytest.mark.parametrize("chart", [
         lambda: geo.sphere(3, 1.3),
-        lambda: geo.conformal_poly(2),
+        lambda: conformal_poly(2),
         lambda: geo.euclidean(3),
     ])
     def test_spray_and_ricci_match_classical(self, chart):
@@ -77,7 +76,7 @@ class TestRiemannianReduction:
             x, y = sample(rng, M)
             gc = geo.geodesic_spray(al, x, y)
             assert np.max(np.abs(spray(M, x, y) - gc)) <= 1e-12 * (1 + np.max(np.abs(gc)))
-            rc = geo.ricci_curvature(al, x, y)
+            rc = float(y @ geo.ricci_tensor(al, x) @ y)
             assert abs(ricci(M, x, y) - rc) <= 1e-12 * (1 + abs(rc))
 
     def test_fundamental_tensor_is_alpha(self):
@@ -177,8 +176,9 @@ class TestFlagCurvature:
         M = berwald_square(3)
         x = np.array([0.1, -0.2, 0.25])
         y = np.array([0.7, -0.3, 0.5])
-        assert cfc_residual(M, x, y, 0.0) <= 1e-12
-        assert cfc_residual(M, x, y, 1.0) > 0.1
+        cd = curvature_data(M, x, y)
+        assert cd.cfc_residual(0.0) <= 1e-12
+        assert cd.cfc_residual(1.0) > 0.1
 
 
 class TestDouglas:
@@ -277,11 +277,11 @@ class TestGeneralKind:
         y = np.array([0.9, 0.4, -0.3])
         assert np.max(np.abs(spray(M1, x, y) - spray(M2, x, y))) <= 1e-12
 
-    def test_constant_plain_profile_has_zero_derivatives(self):
-        # fn ignores its jet argument and returns a plain float
-        phi = PhiFunction("c", "plain", lambda s: 1.0)
-        assert phi.deriv(0.1) == 0.0
-        assert phi.deriv(0.1, order=2) == 0.0
+    def test_plain_profile_requires_closed_form_derivatives(self):
+        with pytest.raises(ValueError, match="d1 and d2"):
+            PhiFunction("c", "plain", lambda s: 1.0)
+        with pytest.raises(ValueError, match="d1 and d2"):
+            PhiFunction("c", "plain", lambda s: 1.0, d1=lambda s: 0.0)
 
     def test_scalar_derivative_requires_plain(self):
         phi = PhiFunction("g", "general", lambda b2, s: 1.0 + s)

@@ -17,20 +17,33 @@ def _constant_metric(n, value, name):
 
 class TestSampleInputs:
 
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0])
     def test_degenerate_matrix_is_a_labelled_refusal(self, value):
-        # every direction has alpha-norm nan, inf*0 or 0: the rejection
-        # loops must give up after the draw limit instead of spinning
+        # nan, inf and 0 matrices fail the chart check at the first
+        # accepted point, before the rejection loops draw any direction
         alpha = _constant_metric(3, value, "degenerate")
-        with pytest.raises(SamplingError, match="degenerate"):
+        with pytest.raises(geo.ChartError):
             sample_inputs(alpha, None, 2, seed=0)
 
     def test_rank_one_matrix_has_no_transverse_edge(self):
         # a = e e^T: every direction of positive norm is parallel to every
-        # other in the a-inner product, so no flag edge is transverse
+        # other in the a-inner product, so no flag edge is transverse; the
+        # chart check refuses the singular matrix before the loops look
         alpha = _constant_metric(3, 1.0, "rank-one")
-        with pytest.raises(SamplingError, match="flag edge"):
+        with pytest.raises(geo.ChartError, match="not positive definite"):
+            sample_inputs(alpha, None, 2, seed=0)
+
+    @pytest.mark.parametrize("matrix,what", [
+        (1e-12 * np.eye(3), "direction"),
+        (np.ones((3, 3)) + 1e-9 * np.eye(3), "flag edge"),
+    ], ids=["tiny", "near-rank-one"])
+    def test_nearly_degenerate_chart_ends_the_rejection_loops(self, matrix, what):
+        # positive definite, so the chart check passes, but no draw clears
+        # the norm floor (tiny) or the transversality bound (near rank one):
+        # the loops must give up after the draw limit instead of spinning
+        alpha = geo.RiemannMetric(3, lambda X: matrix.tolist(), "nearly-degenerate")
+        geo.validate_chart(alpha, [np.zeros(3)])
+        with pytest.raises(SamplingError, match=what):
             sample_inputs(alpha, None, 2, seed=0)
 
 
