@@ -40,11 +40,7 @@ from .finsler import (
     curvature_data,
     douglas_tensor,
     f_value,
-    flag_curvature,
-    fundamental_tensor,
-    ricci,
-    riemann_curvature,
-    spray,
+    riemann_fd,
     spray_closed_form,
     spray_jets,
 )
@@ -85,9 +81,8 @@ __all__ = [
     "TruncationError", "JetDomainError",
     "RiemannMetric", "OneFormField", "euclidean", "sphere", "berwald_data",
     "geodesic_spray", "ricci_tensor", "beta_derivatives", "validate_chart",
-    "PhiFunction", "GeneralABMetric", "f_value", "fundamental_tensor",
-    "spray", "spray_jets", "spray_closed_form", "riemann_curvature", "ricci",
-    "flag_curvature", "douglas_tensor",
+    "PhiFunction", "GeneralABMetric", "f_value", "spray_jets", "spray_closed_form",
+    "riemann_fd", "douglas_tensor",
     "DouglasTensor", "curvature_data", "StrongConvexityError", "DegenerateFlagError",
     "phi_library", "randers_phi", "square_metric", "phi_pde_residual",
     "to_conformal_pair", "from_conformal_pair", "to_reduced_pair", "from_reduced_pair",

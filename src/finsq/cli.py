@@ -22,15 +22,7 @@ import numpy as np
 from . import construct as con
 from . import square as sq
 from .config import SUITE_NAMES, ConfigError, load_config, parse_config, validate_metric
-from .finsler import (
-    DegenerateFlagError,
-    StrongConvexityError,
-    f_value,
-    flag_curvature,
-    fundamental_tensor,
-    ricci,
-    spray,
-)
+from .finsler import DegenerateFlagError, StrongConvexityError, curvature_data, f_value
 from .geometry import ChartError, one_form_norm_sq, validate_chart
 from .registry import MetricResolutionError, builtin_names, resolve_metric
 from .reporting import build_report, dumps
@@ -178,21 +170,24 @@ def _cmd_eval(args) -> int:
         raise ConfigError("--y must be nonzero")
     M = bundle.metric
     q = args.quantity
-    if q == "F":
-        value = float(f_value(M, [float(v) for v in x], [float(v) for v in y]))
-    elif q == "g":
-        value = fundamental_tensor(M, x, y)[0].tolist()
-    elif q == "spray":
-        value = spray(M, x, y).tolist()
-    elif q == "ricci":
-        value = ricci(M, x, y)
-    else:
+    if q == "flag":
         if args.u is None:
             raise ConfigError("--quantity flag requires --u")
         u = _vector(args.u, "u")
         if u.shape != (n,):
             raise ConfigError(f"--u must have {n} components")
-        value = flag_curvature(M, x, y, u)
+    if q == "F":
+        value = float(f_value(M, [float(v) for v in x], [float(v) for v in y]))
+    else:
+        cd = curvature_data(M, x, y)
+        if q == "g":
+            value = cd.g.tolist()
+        elif q == "spray":
+            value = cd.spray.tolist()
+        elif q == "ricci":
+            value = cd.ricci
+        else:
+            value = cd.flag_curvature(u)
     doc = {"metric": bundle.name, "quantity": q,
            "x": x.tolist(), "y": y.tolist(), "value": value}
     sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")

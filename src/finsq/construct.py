@@ -31,6 +31,7 @@ from .geometry import (
     euclidean,
     ricci_tensor,
     sphere,
+    validate_chart,
 )
 from .square import from_reduced_pair, square_from_reduced_pair, square_metric
 
@@ -57,15 +58,15 @@ def verify_factor(factor: RiemannMetric, c: float, tolerance: float = 1e-7) -> f
     """Max residual of Ric = (m-1) c^2 g over 20 deterministic points.
 
     This is the Einstein condition the warped construction needs from its
-    factor.  Raises ConstructionError when it fails.
+    factor.  Raises ChartError where the factor matrix is degenerate at a
+    grid point, before any curvature, and ConstructionError when it fails.
     """
     m = factor.dim
     worst = 0.0
-    for x in _factor_grid(factor):
-        if not factor.domain(x):
-            continue
+    pts = [x for x in _factor_grid(factor) if factor.domain(x)]
+    for x, a in zip(pts, validate_chart(factor, pts)):
         ric = ricci_tensor(factor, x)
-        expect = (m - 1) * c * c * factor.matrix(x)
+        expect = (m - 1) * c * c * a
         worst = max(worst, float(np.max(np.abs(ric - expect))) / (1.0 + float(np.max(np.abs(expect)))))
     if worst > tolerance:
         raise ConstructionError(

@@ -12,8 +12,9 @@ is computed from the definition by exact jet differentiation:
 The sprays are produced as jets over (x, y) to whatever derivative orders a
 downstream formula consumes: the one evaluation of F^2 happens in a space
 with caps raised by the orders the extraction chain uses up, so every
-coefficient that survives is exact.  The closed-form (alpha, beta) spray and
-a finite-difference fallback serve as independent oracles.
+coefficient that survives is exact.  The flag bundle ``curvature_data`` is
+the one route to a flag-level quantity; ``spray_closed_form`` and the
+finite-difference fallback ``riemann_fd`` serve as independent oracles.
 """
 
 from __future__ import annotations
@@ -57,21 +58,6 @@ class PhiFunction:
     def __post_init__(self):
         if self.kind == "plain" and (self.d1 is None or self.d2 is None):
             raise ValueError(f"plain profile {self.name!r} needs closed-form d1 and d2")
-
-    def value(self, b2, s):
-        if self.kind == "plain":
-            return self.fn(s)
-        return self.fn(b2, s)
-
-    def deriv(self, s, order: int = 1):
-        """phi', phi'' for plain kind, at a float argument."""
-        if self.kind != "plain":
-            raise ValueError("scalar derivatives are a plain-kind operation")
-        if order == 1:
-            return self.d1(s)
-        if order == 2:
-            return self.d2(s)
-        raise ValueError(f"no closed form for phi derivative of order {order}")
 
     def partials(self, b2: float, s: float) -> tuple[float, float, float, float, float, float]:
         """(phi, phi_1, phi_2, phi_11, phi_12, phi_22) at a float argument,
@@ -124,13 +110,6 @@ def f_value(M: GeneralABMetric, X: Sequence[Scalar], Y: Sequence[Scalar]) -> Sca
 def f_squared(M: GeneralABMetric, X, Y) -> Scalar:
     F = f_value(M, X, Y)
     return F * F
-
-
-def fundamental_tensor(M: GeneralABMetric, x, y) -> tuple[np.ndarray, np.ndarray]:
-    """g_ij = (1/2)[F^2]_{y^i y^j} and its inverse at one (x, y)."""
-    X, Y = seed_pair(x, y, DerivativeSpec(0, 2))
-    g = _fundamental(M, f_squared(M, X, Y), x, y)
-    return g, np.linalg.inv(g)
 
 
 def _fundamental(M: GeneralABMetric, F2: Jet, x, y) -> np.ndarray:
@@ -196,8 +175,8 @@ def spray_jets(M: GeneralABMetric, x, y, x_out: int,
     return float(F2.value), g, [0.25 * gi for gi in G]
 
 
-def spray(M: GeneralABMetric, x, y) -> np.ndarray:
-    """Spray values from the definition (the generic route)."""
+def _spray_values(M: GeneralABMetric, x, y) -> np.ndarray:
+    """Spray values on the smallest jet space: riemann_fd's pointwise solve."""
     return np.array([float(g.value) for g in spray_jets(M, x, y, 0, 0)[2]])
 
 
@@ -227,8 +206,8 @@ def spray_closed_form(M: GeneralABMetric, x, y) -> np.ndarray:
     be = float(bd.b_lower @ y)
     s = be / al
     phi = float(M.phi.fn(s))
-    d1 = float(M.phi.deriv(s, 1))
-    d2 = float(M.phi.deriv(s, 2))
+    d1 = float(M.phi.d1(s))
+    d2 = float(M.phi.d2(s))
     core = phi - s * d1
     delta = core + (bd.b2 - s * s) * d2
     if phi <= 0.0 or core <= 1e-12 or delta <= 1e-12:
@@ -248,31 +227,18 @@ def spray_closed_form(M: GeneralABMetric, x, y) -> np.ndarray:
 # -- curvature ----------------------------------------------------------------
 
 
-def riemann_curvature(M: GeneralABMetric, x, y, method: str = "jet") -> np.ndarray:
-    """Riemann curvature R^i_k in Berwald's form, shape (n, n).
-
-    method "jet" reads all spray derivatives from one exact jet evaluation;
-    method "fd" numerically differentiates exact pointwise spray values by
-    Richardson-extrapolated central differences (slower, noisier; kept as an
-    independent fallback).
-    """
-    n = M.dim
-    if method == "fd":
-        return _riemann_fd(M, x, y)
-    if method != "jet":
-        raise ValueError(f"unknown curvature method {method!r}")
-    return _riemann_from_jets(n, spray_jets(M, x, y, 1, 2)[2], y)
-
-
-def _riemann_fd(M, x, y, step_x: float = 1e-3, step_y: float = 1e-3) -> np.ndarray:
+def riemann_fd(M, x, y, step_x: float = 1e-3, step_y: float = 1e-3) -> np.ndarray:
+    """Riemann curvature R^i_k in Berwald's form by Richardson-extrapolated
+    central differences of exact pointwise spray values: slower and noisier
+    than ``curvature_data(M, x, y).riemann``, and independent of its jets."""
     n = M.dim
     x = np.asarray(x, float)
     y = np.asarray(y, float)
 
     def comp(i):
-        return lambda xv, yv: float(spray(M, xv, yv)[i])
+        return lambda xv, yv: float(_spray_values(M, xv, yv)[i])
 
-    gv = spray(M, x, y)
+    gv = _spray_values(M, x, y)
     ex = np.eye(n, dtype=int)
     zero = np.zeros(n, dtype=int)
     dgx = np.array([[fd_partial(comp(i), x, y, ex[k], zero, step=step_x) for k in range(n)] for i in range(n)])
@@ -289,16 +255,6 @@ def _riemann_fd(M, x, y, step_x: float = 1e-3, step_y: float = 1e-3) -> np.ndarr
         + 2.0 * np.einsum("m,imk->ik", gv, dgyy)
         - np.einsum("im,mk->ik", dgy, dgy)
     )
-
-
-def ricci(M: GeneralABMetric, x, y, method: str = "jet") -> float:
-    """Ricci curvature: the trace R^m_m of the Riemann curvature."""
-    return float(np.trace(riemann_curvature(M, x, y, method=method)))
-
-
-def flag_curvature(M: GeneralABMetric, x, y, u) -> float:
-    """Flag curvature of the flag with pole y and transverse edge u."""
-    return curvature_data(M, x, y).flag_curvature(u)
 
 
 # -- Douglas tensor -------------------------------------------------------------
@@ -389,10 +345,9 @@ class CurvatureData:
         expect = K * (self.f2 * np.eye(len(self.y)) - np.outer(self.y, self.g @ self.y))
         return float(np.max(np.abs(R - expect))) / (self.f2 + float(np.max(np.abs(R))))
 
-    def einstein_residual(self, c: Callable[[np.ndarray], float] | float) -> float:
-        """|Ric - (n-1) c(x) F^2| / F^2."""
-        cx = c(self.x) if callable(c) else float(c)
-        return abs(self.ricci - (len(self.y) - 1) * cx * self.f2) / self.f2
+    def einstein_residual(self, c: float) -> float:
+        """|Ric - (n-1) c F^2| / F^2."""
+        return abs(self.ricci - (len(self.y) - 1) * float(c) * self.f2) / self.f2
 
 
 def curvature_data(M: GeneralABMetric, x, y) -> CurvatureData:

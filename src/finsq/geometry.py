@@ -79,9 +79,10 @@ def _unit(n: int, *vars_: int) -> tuple[int, ...]:
 # -- chart validation --------------------------------------------------------
 
 
-def validate_chart(alpha: RiemannMetric, points: Sequence[Sequence[float]]) -> None:
-    """Raise ChartError if components are not finite, asymmetric or not
-    positive definite to working precision."""
+def validate_chart(alpha: RiemannMetric, points: Sequence[Sequence[float]]) -> list[np.ndarray]:
+    """Each point's metric matrix; raises ChartError if components are not
+    finite, asymmetric or not positive definite to working precision."""
+    mats = []
     for x in points:
         A = alpha.matrix(x)
         if A.shape != (alpha.dim, alpha.dim):
@@ -96,6 +97,8 @@ def validate_chart(alpha: RiemannMetric, points: Sequence[Sequence[float]]) -> N
         if float(ev[0]) <= alpha.dim * np.finfo(float).eps * abs(float(ev[-1])):
             raise ChartError(f"{alpha.name}: not positive definite at x = {_point(x)} "
                              f"(eigenvalues {ev[0]:.3g} to {ev[-1]:.3g})")
+        mats.append(A)
+    return mats
 
 
 def _point(x) -> list[float]:
@@ -211,9 +214,6 @@ class BetaDerivatives:
     def r00(self, y) -> float:
         y = np.asarray(y, float)
         return float(y @ self.r @ y)
-
-    def r0(self, y) -> np.ndarray:
-        return self.r @ np.asarray(y, float)
 
     def s0_lower(self, y) -> np.ndarray:
         """s_{i0} = s_ij y^j."""

@@ -46,8 +46,11 @@ class MetricBundle:
     expected_characterization_constant: Optional[float] = None
     expected_flag: Optional[float] = None
     expected_douglas: Optional[float] = None
-    square_data: bool = False
     construction: Optional[ConstructedMetric] = None
+
+    @property
+    def square_data(self) -> bool:
+        return self.metric.phi.name == "square"
 
     @property
     def alpha(self):
@@ -82,7 +85,7 @@ def _berwald_bundle(dim: int = 4) -> MetricBundle:
     return MetricBundle("berwald", square_metric(al, be, "berwald"),
                         expected_einstein_constant=0.0,
                         expected_characterization_constant=1.0,
-                        expected_flag=0.0, expected_douglas=0.0, square_data=True)
+                        expected_flag=0.0, expected_douglas=0.0)
 
 
 def _randers_grad_bundle(dim: int = 3, scale: float = 0.4) -> MetricBundle:
@@ -114,7 +117,7 @@ def bundle_from_construction(cm: ConstructedMetric) -> MetricBundle:
     return MetricBundle(cm.name, cm.metric, expected_einstein_constant=0.0,
                         expected_characterization_constant=cm.expected_constant,
                         expected_flag=cm.expected_flag, expected_douglas=0.0,
-                        square_data=True, construction=cm)
+                        construction=cm)
 
 
 def _resolve_construct(spec: dict) -> MetricBundle:

@@ -75,8 +75,7 @@ def sample_inputs(alpha: RiemannMetric, beta: Optional[OneFormField], count: int
             b2 = float(one_form_norm_sq(alpha, beta, [float(v) for v in x]))
             if b2 >= b_cap * b_cap:
                 continue
-        geo.validate_chart(alpha, [x])
-        a = alpha.matrix(x)
+        a = geo.validate_chart(alpha, [x])[0]
         y = _unit_direction(rng, a, limit, alpha.name)
         u = _transverse_edge(rng, a, y, limit, alpha.name)
         pts.append(x)

@@ -18,9 +18,6 @@ import finsq.square as sq
 from finsq.finsler import (
     curvature_data,
     douglas_tensor,
-    flag_curvature,
-    ricci,
-    spray,
     spray_closed_form,
 )
 from finsq.registry import resolve_metric
@@ -58,7 +55,7 @@ def test_01_flag_flatness_of_square_example():
         M = _berwald(n)
         ss = sample_inputs(M.alpha, M.beta, 100, seed, max_x=0.8)
         for x, y, u in zip(ss.points, ss.directions, ss.edges):
-            worst = max(worst, abs(flag_curvature(M, x, y, u)))
+            worst = max(worst, abs(curvature_data(M, x, y).flag_curvature(u)))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-6 and elapsed < 60.0
     _verdict("flag-flatness", ok,
@@ -114,7 +111,7 @@ def test_04_spray_closed_form_oracle():
     for M, seed in ((randers, 105), (_berwald(4), 106)):
         ss = sample_inputs(M.alpha, M.beta, 100, seed)
         for x, y in zip(ss.points, ss.directions):
-            g_def = spray(M, x, y)
+            g_def = curvature_data(M, x, y).spray
             g_closed = spray_closed_form(M, x, y)
             worst = max(worst, float(np.max(np.abs(g_closed - g_def)))
                         / (1.0 + float(np.max(np.abs(g_def)))))
@@ -131,7 +128,7 @@ def test_05_riemannian_curvature_oracle():
                     for x, y in zip(ss.points, ss.directions))
     euc = resolve_metric("euclidean")
     se = sample_inputs(euc.alpha, None, 25, seed=108)
-    worst_euc = max(abs(ricci(euc.metric, x, y))
+    worst_euc = max(abs(curvature_data(euc.metric, x, y).ricci)
                     for x, y in zip(se.points, se.directions))
     rng = np.random.Generator(np.random.Philox(key=109))
     pts = np.column_stack([rng.uniform(-0.4, 0.4, 50),
@@ -205,7 +202,7 @@ def test_09_low_dimension_constructions_are_flat(warped3, warped4):
     for k, cm in enumerate((warped3, warped4, family3, family4)):
         ss = sample_inputs(cm.alpha, cm.beta, 25, seed=120 + k)
         for x, y, u in zip(ss.points, ss.directions, ss.edges):
-            worst = max(worst, abs(flag_curvature(cm.metric, x, y, u)))
+            worst = max(worst, abs(curvature_data(cm.metric, x, y).flag_curvature(u)))
     ok = worst <= 1e-6
     _verdict("construction-flatness", ok,
              f"max |K| = {worst:.3e} over 100 flags on four dimension-3/4 "

@@ -205,19 +205,11 @@ class TestRunSuites:
         assert cert.detail["residuals"]["finsler-ricci"]["tolerance"] == 1e-30
 
     def test_cfc_builds_one_flag_bundle_per_sample(self, monkeypatch):
-        calls = {"spray_jets": 0, "fundamental_tensor": 0}
-        for name in calls:
-            inner = getattr(finsler, name)
-
-            def counted(*args, _name=name, _inner=inner):
-                calls[_name] += 1
-                return _inner(*args)
-
-            monkeypatch.setattr(finsler, name, counted)
+        calls = self._count_builds(monkeypatch)
         cfg = parse_config({"metric": "berwald", "suites": ["cfc"], "samples": 3})
         res = run_suites(resolve_metric(cfg.metric), cfg)
         assert res[0].passed
-        assert calls == {"spray_jets": 3, "fundamental_tensor": 0}
+        assert calls["spray_jets"] == 3
 
     def test_einstein_builds_one_flag_bundle_per_sample(self, monkeypatch):
         calls = []
@@ -423,6 +415,11 @@ class TestCommandLine:
         ["check", "--metric", '{"name": "sphere", "kappa": 1e300}', "--samples", "3"],
         ["eval", "--metric", '{"name": "sphere", "kappa": 1e300}', "--x", "0.1,0.1,0.1",
          "--y", "1,0,0"],
+        # finite warp constant whose factor matrix underflows to zero
+        ["check", "--metric",
+         '{"construct": {"factor": {"type": "sphere", "dim": 3}, "c": 1e200, "d": 0.5}}',
+         "--samples", "3"],
+        ["construct", "--c", "1e200"],
     ])
     def test_usage_errors_exit_two(self, argv, capsys):
         code = cli.main(argv)
@@ -457,6 +454,20 @@ class TestCommandLine:
         doc = json.loads(capsys.readouterr().out)
         assert code == 0
         assert np.allclose(doc["value"], expected, atol=1e-12)
+
+    @pytest.mark.parametrize("quantity", ["g", "spray", "ricci", "flag"])
+    def test_eval_reads_the_flag_bundle(self, quantity, monkeypatch, capsys):
+        x, y, u = [0.1, 0.2, 0.3, 0.1], [1.0, 0.2, -0.1, 0.4], [0.0, 1.0, 0.0, 0.0]
+        cd = finsler.curvature_data(resolve_metric("berwald").metric, x, y)
+        expected = {"g": cd.g.tolist(), "spray": cd.spray.tolist(), "ricci": cd.ricci,
+                    "flag": cd.flag_curvature(u)}[quantity]
+        calls = TestRunSuites._count_builds(monkeypatch)
+        code = cli.main(["eval", "--metric", "berwald", "--x", "0.1,0.2,0.3,0.1",
+                         "--y", "1,0.2,-0.1,0.4", "--u", "0,1,0,0", "--quantity", quantity])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert doc["value"] == expected
+        assert calls["spray_jets"] == 1
 
     def test_eval_sphere_flag(self, capsys):
         code = cli.main(["eval", "--metric", "sphere", "--x", "0.1,0.2,0.3",

@@ -6,7 +6,7 @@ import pytest
 from finsq import construct as con
 from finsq import geometry as geo
 from finsq import square as sq
-from finsq.finsler import flag_curvature, ricci
+from finsq.finsler import curvature_data
 from finsq.sampling import SampleTable
 
 from conftest import philox
@@ -115,8 +115,8 @@ class TestConstruction:
         pts = warped_points(rng, spec, 3)
         for x in pts:
             y = rng.uniform(-1.0, 1.0, 3)
-            assert abs(ricci(cm.metric, x, y)) <= 1e-10
-            assert abs(ricci(cm.metric_reduced, x, y)) <= 1e-10
+            assert abs(curvature_data(cm.metric, x, y).ricci) <= 1e-10
+            assert abs(curvature_data(cm.metric_reduced, x, y).ricci) <= 1e-10
 
     def test_flag_curvature_vanishes(self):
         spec = con.WarpedProductSpec(con.sphere_factor(2, 1.0), 1.0, 0.5)
@@ -125,7 +125,7 @@ class TestConstruction:
         for x in warped_points(rng, spec, 3):
             y = rng.uniform(-1.0, 1.0, 3)
             u = rng.uniform(-1.0, 1.0, 3)
-            assert abs(flag_curvature(cm.metric, x, y, u) - cm.expected_flag) <= 1e-10
+            assert abs(curvature_data(cm.metric, x, y).flag_curvature(u) - cm.expected_flag) <= 1e-10
 
     def test_spray_deformation_identities_on_construction(self):
         # exercises the recovered pair's norm shortcut through the
@@ -166,7 +166,7 @@ class TestBerwaldFamily:
         assert cert.constant == pytest.approx(0.7, abs=1e-10)
         y = rng.uniform(-1.0, 1.0, 3)
         u = rng.uniform(-1.0, 1.0, 3)
-        assert abs(flag_curvature(cm.metric, pts[0], y, u)) <= 1e-10
+        assert abs(curvature_data(cm.metric, pts[0], y).flag_curvature(u)) <= 1e-10
 
     def test_constant_form_member(self):
         cm = con.berwald_family(3, 0.0, np.array([0.5, 0.0, 0.0]))
