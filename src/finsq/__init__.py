@@ -8,12 +8,12 @@ warped-product constructions of verified Einstein examples.
 """
 
 from .jets import (
-    DerivativeSpec,
     Jet,
     JetDomainError,
     TruncationError,
     backend_name,
     fd_partial,
+    partials,
     seed,
     seed_pair,
 )
@@ -77,7 +77,7 @@ from .square import (
 )
 
 __all__ = [
-    "Jet", "DerivativeSpec", "seed", "seed_pair", "fd_partial", "backend_name",
+    "Jet", "seed", "seed_pair", "partials", "fd_partial", "backend_name",
     "TruncationError", "JetDomainError",
     "RiemannMetric", "OneFormField", "euclidean", "sphere", "berwald_data",
     "geodesic_spray", "ricci_tensor", "beta_derivatives", "validate_chart",

@@ -24,7 +24,7 @@ from . import square as sq
 from .config import SUITE_NAMES, ConfigError, load_config, parse_config, validate_metric
 from .finsler import DegenerateFlagError, StrongConvexityError, curvature_data, f_value
 from .geometry import ChartError, one_form_norm_sq, validate_chart
-from .registry import MetricResolutionError, builtin_names, resolve_metric
+from .registry import MetricResolutionError, builtin_names, resolve_metric, warped_spec
 from .reporting import build_report, dumps
 from .sampling import SampleTable, SamplingError, sample_inputs
 from .suites import TOLERANCES, run_suites
@@ -126,14 +126,15 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_construct(args) -> int:
-    m = args.dim - 1
-    if args.factor == "sphere":
-        factor = con.sphere_factor(m, args.c_const * args.c_const)
-    else:
-        factor = con.flat_factor(m)
-    spec = con.WarpedProductSpec(factor, args.c_const, args.d)
+    # validated as the `check` request for the same construction would be
+    cfg = parse_config({
+        "metric": {"construct": {"factor": {"type": args.factor, "dim": args.dim - 1},
+                                 "c": args.c_const, "d": args.d}},
+        "samples": args.samples, "seed": args.seed,
+    })
+    spec = warped_spec(cfg.metric["construct"])
     cm = con.construct_einstein_square(spec)
-    samples = sample_inputs(cm.alpha, cm.beta, args.samples, args.seed)
+    samples = sample_inputs(cm.alpha, cm.beta, cfg.samples, cfg.seed)
     cert = sq.check_einstein_square(SampleTable(cm.metric, samples.points, samples.directions))
     doc = {
         "schema": "finsq-construction/1",

@@ -231,8 +231,6 @@ class ConstructedMetric:
     name: str
     alpha: RiemannMetric
     beta: OneFormField
-    reduced_metric: RiemannMetric
-    reduced_form: OneFormField
     metric: GeneralABMetric
     metric_reduced: GeneralABMetric
     expected_constant: float
@@ -246,8 +244,6 @@ def _package(w: RiemannMetric, z: OneFormField, label: str, c: float) -> Constru
         name=label,
         alpha=alpha,
         beta=beta,
-        reduced_metric=w,
-        reduced_form=z,
         metric=square_metric(alpha, beta, label),
         metric_reduced=square_from_reduced_pair(w, z, label + "/reduced"),
         expected_constant=c,

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import linalg
 from .geometry import OneFormField, RiemannMetric, Scalar, beta_derivatives, geodesic_spray, one_form_norm_sq
-from .jets import DerivativeSpec, Jet, fd_partial, seed_pair, sqrt
+from .jets import Jet, fd_partial, partials, seed_pair, sqrt
 from .jetspace import xy_space
 
 
@@ -53,7 +53,6 @@ class PhiFunction:
     fn: Callable
     d1: Optional[Callable] = None
     d2: Optional[Callable] = None
-    domain: Callable[[float, float], bool] = lambda b2, s: True
 
     def __post_init__(self):
         if self.kind == "plain" and (self.d1 is None or self.d2 is None):
@@ -64,18 +63,10 @@ class PhiFunction:
         where subscript 1 differentiates in b^2 and 2 in s."""
         if self.kind != "general":
             raise ValueError("two-argument partials are a general-kind operation")
-        space = xy_space(1, 1, 2, 2, 2)
-        U = Jet.variable(space, 0, float(b2))
-        S = Jet.variable(space, 1, float(s))
-        p = self.fn(U, S)
-        return (
-            float(p.value),
-            float(p.partial((1, 0))),
-            float(p.partial((0, 1))),
-            float(p.partial((2, 0))),
-            float(p.partial((1, 1))),
-            float(p.partial((0, 2))),
-        )
+        (U,), (S,) = seed_pair([b2], [s], 2, 2, 2)
+        v, d, dd = partials(self.fn(U, S), U.space, (), ((0, 1),), ((0, 1), (0, 1)))
+        return (float(v), float(d[0]), float(d[1]),
+                float(dd[0, 0]), float(dd[0, 1]), float(dd[1, 1]))
 
 
 @dataclass(frozen=True)
@@ -116,14 +107,8 @@ def _fundamental(M: GeneralABMetric, F2: Jet, x, y) -> np.ndarray:
     """g_ij at (x, y), read off an F^2 jet over (x, y) with y-order >= 2.
 
     Raises StrongConvexityError unless g is strongly convex."""
-    n = M.dim
-    g = np.empty((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            m = [0] * (2 * n)
-            m[n + i] += 1
-            m[n + j] += 1
-            g[i, j] = g[j, i] = 0.5 * float(F2.partial(tuple(m)))
+    ys = tuple(range(M.dim, 2 * M.dim))
+    g = 0.5 * partials(F2, F2.space, (ys, ys))[0]
     ev = np.linalg.eigvalsh(g)
     if ev[0] <= 0.0 or ev[-1] / ev[0] > 1e12:
         raise StrongConvexityError(
@@ -149,8 +134,7 @@ def spray_jets(M: GeneralABMetric, x, y, x_out: int,
     convex.
     """
     n = M.dim
-    spec = DerivativeSpec(x_out + 1, y_out + 2)
-    X, Y = seed_pair(x, y, spec, total_cap=x_out + y_out + 2)
+    X, Y = seed_pair(x, y, x_out + 1, y_out + 2, total_cap=x_out + y_out + 2)
     F2 = f_squared(M, X, Y)
     g = _fundamental(M, F2, x, y)
     target = xy_space(n, n, x_out, y_out, x_out + y_out)
@@ -177,7 +161,8 @@ def spray_jets(M: GeneralABMetric, x, y, x_out: int,
 
 def _spray_values(M: GeneralABMetric, x, y) -> np.ndarray:
     """Spray values on the smallest jet space: riemann_fd's pointwise solve."""
-    return np.array([float(g.value) for g in spray_jets(M, x, y, 0, 0)[2]])
+    G = spray_jets(M, x, y, 0, 0)[2]
+    return partials(G, G[0].space, ())[0]
 
 
 def spray_closed_form(M: GeneralABMetric, x, y) -> np.ndarray:
@@ -291,19 +276,8 @@ def douglas_tensor(M: GeneralABMetric, x, y) -> DouglasTensor:
         N = N + G[m].derivative(n + m)
     inv = 1.0 / (n + 1)
     P = [G[i] - inv * (N * Y[i]) for i in range(n)]
-    nv = 2 * n
-    D = np.empty((n, n, n, n))
-    for j in range(n):
-        for k in range(j, n):
-            for l in range(k, n):
-                m = [0] * nv
-                m[n + j] += 1
-                m[n + k] += 1
-                m[n + l] += 1
-                for i in range(n):
-                    val = float(P[i].partial(tuple(m)))
-                    for a, b, c in ((j, k, l), (j, l, k), (k, j, l), (k, l, j), (l, j, k), (l, k, j)):
-                        D[i, a, b, c] = val
+    ys = tuple(range(n, 2 * n))
+    (D,) = partials(P, P[0].space, (ys, ys, ys))
     return DouglasTensor(components=D, y=np.asarray(y, float))
 
 
@@ -356,36 +330,13 @@ def curvature_data(M: GeneralABMetric, x, y) -> CurvatureData:
     x = np.asarray(x, float)
     y = np.asarray(y, float)
     f2, g, G = spray_jets(M, x, y, 1, 2)
-    R = _riemann_from_jets(M.dim, G, y)
-    return CurvatureData(
-        x=x, y=y, f2=f2, g=g,
-        spray=np.array([float(gi.value) for gi in G]),
-        riemann=R, ricci=float(np.trace(R)),
-    )
-
-
-def _riemann_from_jets(n: int, G: list[Jet], y) -> np.ndarray:
-    y = np.asarray(y, float)
-    nv = 2 * n
-
-    def unit(*vars_):
-        m = [0] * nv
-        for v in vars_:
-            m[v] += 1
-        return tuple(m)
-
-    gv = np.array([float(g.value) for g in G])
-    dgx = np.array([[float(G[i].partial(unit(k))) for k in range(n)] for i in range(n)])
-    dgy = np.array([[float(G[i].partial(unit(n + m))) for m in range(n)] for i in range(n)])
-    dgxy = np.array(
-        [[[float(G[i].partial(unit(m, n + k))) for k in range(n)] for m in range(n)] for i in range(n)]
-    )
-    dgyy = np.array(
-        [[[float(G[i].partial(unit(n + m, n + k))) for k in range(n)] for m in range(n)] for i in range(n)]
-    )
-    return (
+    xs, ys = tuple(range(M.dim)), tuple(range(M.dim, 2 * M.dim))
+    # dgxy[i, m, k] = d^2 G^i / dx^m dy^k, dgyy[i, m, k] = d^2 G^i / dy^m dy^k
+    gv, dgx, dgy, dgxy, dgyy = partials(G, G[0].space, (), (xs,), (ys,), (xs, ys), (ys, ys))
+    R = (
         2.0 * dgx
         - np.einsum("m,imk->ik", y, dgxy)
         + 2.0 * np.einsum("m,imk->ik", gv, dgyy)
         - np.einsum("im,mk->ik", dgy, dgy)
     )
+    return CurvatureData(x=x, y=y, f2=f2, g=g, spray=gv, riemann=R, ricci=float(np.trace(R)))

@@ -20,7 +20,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from . import linalg
-from .jets import DerivativeSpec, Jet, seed, seed_pair
+from .jets import Jet, partials, seed, seed_pair
 
 Scalar = Union[float, Jet]
 Components = Callable[[Sequence[Scalar]], list]
@@ -65,17 +65,6 @@ def _val(s) -> float:
     return float(s.value) if isinstance(s, Jet) else float(s)
 
 
-def _dx(s, unit: tuple[int, ...]) -> float:
-    return float(s.partial(unit)) if isinstance(s, Jet) else 0.0
-
-
-def _unit(n: int, *vars_: int) -> tuple[int, ...]:
-    m = [0] * n
-    for v in vars_:
-        m[v] += 1
-    return tuple(m)
-
-
 # -- chart validation --------------------------------------------------------
 
 
@@ -108,35 +97,11 @@ def _point(x) -> list[float]:
 # -- connection and curvature -------------------------------------------------
 
 
-def _second_order(comps, X: Sequence[Jet]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Values, gradients and Hessians of components evaluated on X.
-
-    X are second-order seeds along the coordinate directions; comps is the
-    (possibly nested) list a chart returned for them, holding jets or plain
-    floats.  The arrays keep its shape and append one or two x-axes:
-    grad[..., k] = d_k c and hess[..., k, l] = d_k d_l c.
-    """
-    space = X[0].space
-    n = len(X)
-    comps = np.asarray(comps, dtype=object)
-    rows = np.zeros((comps.size, space.size))
-    for r, c in enumerate(comps.flat):
-        if isinstance(c, Jet):
-            rows[r] = c.coeffs
-        else:
-            rows[r, 0] = float(c)
-    first = [space.position[_unit(n, k)] for k in range(n)]
-    second = np.array([[space.position[_unit(n, k, l)] for l in range(n)] for k in range(n)])
-    shape = comps.shape
-    return (rows[:, 0].reshape(shape),
-            rows[:, first].reshape(shape + (n,)),
-            (rows[:, second] * space.fact[second]).reshape(shape + (n, n)))
-
-
 def _levi_civita(A, X):
     """a, a^-1, d_k a^{ij}, Gamma^i_{jk} and d_m Gamma^i_{jk} (last axis m)
     from metric components A evaluated on second-order seeds X."""
-    a, da, dda = _second_order(A, X)  # da[i, j, k] = d_k a_ij
+    xs = tuple(range(len(X)))
+    a, da, dda = partials(A, X[0].space, (), (xs,), (xs, xs))  # da[i, j, k] = d_k a_ij
     ainv = np.linalg.inv(a)
     dainv = -np.einsum("ip,pqk,qj->ijk", ainv, da, ainv)
     # twice the first-kind symbols, 2 Gamma_{ljk} = d_k a_lj + d_j a_lk - d_l a_jk
@@ -163,15 +128,13 @@ def geodesic_spray(alpha: RiemannMetric, x: Sequence[float], y: Sequence[float])
     route the Finsler spray uses; christoffel assembly is the cross-check.
     """
     n = alpha.dim
-    X, Y = seed_pair(x, y, DerivativeSpec(1, 1))
+    X, Y = seed_pair(x, y, 1, 1)
     A = alpha.components(X)
     e2 = linalg.quadratic_form(A, list(Y))
-    nv = 2 * n
-    grad_x = np.array([_dx(e2, _unit(nv, l)) for l in range(n)])
-    mixed = np.array(
-        [[_dx(e2, _unit(nv, k, n + l)) for l in range(n)] for k in range(n)]
-    )  # mixed[k][l] = [a^2]_{x^k y^l}
-    a0 = np.array([[_val(A[i][j]) for j in range(n)] for i in range(n)])
+    xs, ys = tuple(range(n)), tuple(range(n, 2 * n))
+    (a0,) = partials(A, X[0].space, ())
+    # mixed[k, l] = [a^2]_{x^k y^l}
+    grad_x, mixed = partials(e2, X[0].space, (xs,), (xs, ys))
     rhs = mixed.T @ np.asarray(y, float) - grad_x
     return 0.25 * np.linalg.solve(a0, rhs)
 
@@ -180,7 +143,7 @@ def ricci_tensor(alpha: RiemannMetric, x: Sequence[float]) -> np.ndarray:
     """Ricci tensor by the classical curvature contraction of Christoffel
     symbols and their first x-derivatives, read off second-order jets of
     a_ij.  Independent of the spray-based curvature path."""
-    X = seed(x, np.eye(alpha.dim), 2)
+    X = seed(x, 2)
     _, _, _, gamma, dgamma = _levi_civita(alpha.components(X), X)
     return _ricci(gamma, dgamma)
 
@@ -230,9 +193,10 @@ class BetaDerivatives:
 
 def beta_derivatives(alpha: RiemannMetric, beta: OneFormField, x) -> BetaDerivatives:
     """The point bundle, from one evaluation of a_ij and b_i on second-order jets."""
-    X = seed(x, np.eye(alpha.dim), 2)
+    X = seed(x, 2)
     a, ainv, dainv, gamma, dgamma = _levi_civita(alpha.components(X), X)
-    b, db, ddb = _second_order(beta.components(X), X)  # db[i, j] = d_j b_i
+    xs = tuple(range(alpha.dim))
+    b, db, ddb = partials(beta.components(X), X[0].space, (), (xs,), (xs, xs))  # db[i, j] = d_j b_i
     b_upper = ainv @ b
     bij = db - np.einsum("kij,k->ij", gamma, b)
     dbij = (ddb - np.einsum("mijk,m->ijk", dgamma, b)

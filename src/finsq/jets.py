@@ -9,36 +9,32 @@ expression are exact to machine rounding: there is no step size anywhere.
 Coefficients are float64, and jets combine only with jets over the same
 direction set and with real scalars; anything else raises ``TypeError``.
 
-Two conventions to keep straight:
+Jets go in through ``seed`` and ``seed_pair``, which seed coordinate
+directions, and derivatives come out through one reader, ``partials``:
 
-* ``coefficient(idx)`` is the raw Taylor coefficient of the monomial
-  ``xi^idx``; ``partial(idx)`` multiplies in the factorials and is the
-  actual partial derivative.
-* Requests outside the retained set raise :class:`TruncationError` rather
-  than returning a silent zero.
+* it returns actual partial derivatives, factorials included, never raw
+  Taylor coefficients;
+* a partial outside the retained set raises :class:`TruncationError`
+  rather than returning a silent zero;
+* every array it returns is a fresh C-contiguous float64 array.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import _kernels
 from ._kernels import JetDomainError, backend_name
-from .jetspace import JetSpace, jet_space, meet, xy_space
+from .jetspace import JetSpace, TruncationError, jet_space, meet, xy_space
 
 __all__ = [
-    "Jet", "DerivativeSpec", "seed", "seed_pair", "fd_partial", "sqrt",
+    "Jet", "seed", "seed_pair", "partials", "fd_partial", "sqrt",
     "TruncationError", "SpaceMismatchError", "JetDomainError", "backend_name",
 ]
-
-
-class TruncationError(LookupError):
-    """A derivative outside the retained truncation set was requested."""
 
 
 class SpaceMismatchError(ValueError):
@@ -84,19 +80,6 @@ class Jet:
     @property
     def value(self):
         return self.coeffs[0]
-
-    def coefficient(self, idx: Sequence[int]):
-        pos = self.space.position.get(tuple(idx))
-        if pos is None:
-            raise TruncationError(f"index {tuple(idx)} not retained by {self.space}")
-        return self.coeffs[pos]
-
-    def partial(self, idx: Sequence[int]):
-        """Partial derivative for the multi-index, factorials included."""
-        pos = self.space.position.get(tuple(idx))
-        if pos is None:
-            raise TruncationError(f"index {tuple(idx)} not retained by {self.space}")
-        return self.coeffs[pos] * self.space.fact[pos]
 
     def derivative(self, var: int) -> "Jet":
         """The jet of the partial derivative field along one variable.
@@ -192,70 +175,74 @@ def sqrt(v):
     return math.sqrt(v)
 
 
-# -- seeding and extraction --------------------------------------------------
+# -- seeding and reading -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DerivativeSpec:
-    """Derivative orders retained in the base point (x) and fiber (y) slots."""
-
-    x_order: int = 1
-    y_order: int = 2
-
-    def __post_init__(self):
-        if self.x_order < 0 or self.y_order < 0:
-            raise ValueError("derivative orders must be nonnegative")
-        if self.x_order + self.y_order < 1:
-            raise ValueError("at least one derivative order must be positive")
-
-
-def seed(point: Sequence[float], directions: Sequence[Sequence[float]], order: int) -> tuple[Jet, ...]:
-    """Seed coordinates of a point as jets over the given directions.
-
-    Component i of the result expands point[i] + sum_k directions[k][i] xi_k
-    to the requested order in the xi variables.
-    """
+def seed(point: Sequence[float], order: int) -> tuple[Jet, ...]:
+    """Seed the coordinates of a point as jets to the given order: component
+    i is point[i] + xi_i."""
     if order < 1:
         raise ValueError("seed order must be at least 1")
-    dirs = [np.asarray(d, dtype=float) for d in directions]
-    if not dirs:
-        raise ValueError("at least one direction is required")
     p = np.asarray(point, dtype=float)
-    if any(d.shape != p.shape for d in dirs):
-        raise ValueError("directions must match the point's dimension")
-    space = jet_space((0,) * len(dirs), (order,))
-    out = []
-    for i in range(len(p)):
-        j = Jet.constant(space, p[i])
-        for k, d in enumerate(dirs):
-            unit = tuple(1 if v == k else 0 for v in range(len(dirs)))
-            j.coeffs[space.position[unit]] = d[i]
-        out.append(j)
-    return tuple(out)
+    space = jet_space((0,) * len(p), (order,))
+    return tuple(Jet.variable(space, i, v) for i, v in enumerate(p))
 
 
 def seed_pair(
     x: Sequence[float],
     y: Sequence[float],
-    spec: DerivativeSpec,
+    x_order: int,
+    y_order: int,
     total_cap: int | None = None,
 ) -> tuple[tuple[Jet, ...], tuple[Jet, ...]]:
-    """Seed base point and fiber vector along their coordinate directions.
+    """Seed base point and fiber vector along their coordinate directions,
+    retaining x_order derivatives in x and y_order in y.
 
     A group with order zero is seeded as constants: the jets carry no
     dependence on those coordinates, which is exactly what requesting no
     derivatives there means.
     """
+    if x_order < 0 or y_order < 0:
+        raise ValueError("derivative orders must be nonnegative")
+    if x_order + y_order < 1:
+        raise ValueError("at least one derivative order must be positive")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    space = xy_space(len(x), len(y), spec.x_order, spec.y_order, total_cap)
+    space = xy_space(len(x), len(y), x_order, y_order, total_cap)
 
     def mk(i, v, order):
         return Jet.variable(space, i, v) if order > 0 else Jet.constant(space, v)
 
-    X = tuple(mk(i, x[i], spec.x_order) for i in range(len(x)))
-    Y = tuple(mk(len(x) + i, y[i], spec.y_order) for i in range(len(y)))
+    X = tuple(mk(i, x[i], x_order) for i in range(len(x)))
+    Y = tuple(mk(len(x) + i, y[i], y_order) for i in range(len(y)))
     return X, Y
+
+
+def partials(values, space: JetSpace, *reads) -> tuple[np.ndarray, ...]:
+    """Mixed partials of an array of jets over one space, one array per read.
+
+    values is a (possibly nested) sequence of jets over space and plain
+    floats, which count as constants.  A read is a tuple of variable lists:
+    () reads the values, (xs,) the gradients along xs, (xs, ys) the mixed
+    second partials d_x d_y, and so on.  The array for a read has the shape
+    of values followed by one axis per list.  Raises TruncationError for a
+    partial that space does not retain, SpaceMismatchError for a jet over
+    another space.
+    """
+    vals = np.asarray(values, dtype=object)
+    rows = np.zeros((vals.size, space.size))
+    for r, v in enumerate(vals.flat):
+        if isinstance(v, Jet):
+            if v.space is not space:
+                raise SpaceMismatchError(f"jet over {v.space} read as a jet over {space}")
+            rows[r] = v.coeffs
+        else:
+            rows[r, 0] = _real(v)
+    out = []
+    for read in reads:
+        pos, fact = space.read_table(read)
+        out.append(np.multiply(rows[:, pos], fact, order="C").reshape(vals.shape + pos.shape))
+    return tuple(out)
 
 
 # -- finite-difference oracle -------------------------------------------------

@@ -28,6 +28,10 @@ import numpy as np
 _SPACE_CACHE: dict[tuple, "JetSpace"] = {}
 
 
+class TruncationError(LookupError):
+    """A derivative outside the retained truncation set was requested."""
+
+
 def jet_space(var_groups: Iterable[int], group_caps: Iterable[int], total_cap: int | None = None) -> "JetSpace":
     """Return the cached space for the given variable layout and caps."""
     var_groups = tuple(int(g) for g in var_groups)
@@ -103,7 +107,7 @@ class JetSpace:
         "mul_i", "mul_j", "mul_k",
         "div_i", "div_j", "div_k", "div_trip_off",
         "sq_i", "sq_j", "sq_k", "sq_trip_off",
-        "_deriv_maps", "_projections",
+        "_deriv_maps", "_projections", "_reads",
     )
 
     def __init__(self, var_groups, group_caps, total_cap):
@@ -124,6 +128,7 @@ class JetSpace:
         self._build_tables()
         self._deriv_maps = {}
         self._projections = {}
+        self._reads = {}
 
     def _build_tables(self):
         # For every retained k, every componentwise divisor i is retained too
@@ -189,6 +194,31 @@ class JetSpace:
             mult[p] = m[var] + 1
         out = (child, src, mult)
         self._deriv_maps[var] = out
+        return out
+
+    def read_table(self, read) -> tuple[np.ndarray, np.ndarray]:
+        """Positions and factorials of the partials one read takes.
+
+        A read is a tuple of variable lists; entry (v1, v2, ...) of the
+        tables belongs to the multi-index e_v1 + e_v2 + ..., one vi from
+        each list.  Raises TruncationError if one is not retained.
+        """
+        key = tuple(tuple(int(v) for v in vs) for vs in read)
+        cached = self._reads.get(key)
+        if cached is not None:
+            return cached
+        shape = tuple(len(vs) for vs in key)
+        pos = np.empty(shape, dtype=np.int64)
+        for at, vars_ in zip(np.ndindex(shape), itertools.product(*key)):
+            m = [0] * self.nvars
+            for v in vars_:
+                m[v] += 1
+            p = self.position.get(tuple(m))
+            if p is None:
+                raise TruncationError(f"index {tuple(m)} not retained by {self}")
+            pos[at] = p
+        out = (pos, self.fact[pos])
+        self._reads[key] = out
         return out
 
     def projection(self, sub: "JetSpace") -> np.ndarray:

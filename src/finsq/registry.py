@@ -120,7 +120,9 @@ def bundle_from_construction(cm: ConstructedMetric) -> MetricBundle:
                         construction=cm)
 
 
-def _resolve_construct(spec: dict) -> MetricBundle:
+def warped_spec(spec: dict) -> WarpedProductSpec:
+    """The warped-product spec of a validated {"construct": spec} request;
+    `finsq construct` builds its spec here too."""
     factor_spec = spec.get("factor", {})
     ftype = factor_spec.get("type", "sphere")
     c = float(spec.get("c", 1.0))
@@ -134,8 +136,7 @@ def _resolve_construct(spec: dict) -> MetricBundle:
     else:
         raise MetricResolutionError(f"unknown factor type {ftype!r}")
     t_range = spec.get("t_range")
-    wspec = WarpedProductSpec(factor, c, d, tuple(t_range) if t_range else None)
-    return bundle_from_construction(construct_einstein_square(wspec))
+    return WarpedProductSpec(factor, c, d, tuple(t_range) if t_range else None)
 
 
 def _resolve_family(spec: dict) -> MetricBundle:
@@ -162,7 +163,7 @@ def resolve_metric(request) -> MetricBundle:
     if not isinstance(request, dict):
         raise MetricResolutionError("metric request must be a name or an object")
     if "construct" in request:
-        return _resolve_construct(request["construct"])
+        return bundle_from_construction(construct_einstein_square(warped_spec(request["construct"])))
     if "family" in request:
         return _resolve_family(request["family"])
     if "name" in request:

@@ -76,13 +76,10 @@ def phi_library() -> dict[str, PhiFunction]:
         "riemannian": PhiFunction("riemannian", "plain", lambda s: 1.0 + 0.0 * s,
                                   d1=lambda s: 0.0, d2=lambda s: 0.0),
         "square": PhiFunction("square", "plain", _phi_square,
-                              d1=lambda s: 2.0 * (1.0 + s), d2=lambda s: 2.0,
-                              domain=lambda b2, s: b2 < 1.0),
+                              d1=lambda s: 2.0 * (1.0 + s), d2=lambda s: 2.0),
         "square-conformal": PhiFunction("square-conformal", "general", _phi_square_conformal),
-        "square-reduced": PhiFunction("square-reduced", "general", _phi_square_reduced,
-                                      domain=lambda b2, s: b2 < 1.0),
-        "randers-nav": PhiFunction("randers-nav", "general", _phi_randers_nav,
-                                   domain=lambda b2, s: b2 < 1.0),
+        "square-reduced": PhiFunction("square-reduced", "general", _phi_square_reduced),
+        "randers-nav": PhiFunction("randers-nav", "general", _phi_randers_nav),
     }
 
 

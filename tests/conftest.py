@@ -18,7 +18,7 @@ def christoffels(alpha: geometry.RiemannMetric, x) -> np.ndarray:
     """Gamma^i_{jk} at x, shape (n, n, n), read off the point-bundle path
     (`geometry._levi_civita` on second-order seeds) that `beta_derivatives`
     runs."""
-    X = seed(x, np.eye(alpha.dim), 2)
+    X = seed(x, 2)
     return geometry._levi_civita(alpha.components(X), X)[3]
 
 

@@ -420,6 +420,14 @@ class TestCommandLine:
          '{"construct": {"factor": {"type": "sphere", "dim": 3}, "c": 1e200, "d": 0.5}}',
          "--samples", "3"],
         ["construct", "--c", "1e200"],
+        # construct validates its request as check does
+        ["construct", "--samples", "0"],
+        ["construct", "--seed", "-1"],
+        ["construct", "--samples", "1"],
+        ["construct", "--dim", "7"],
+        # a Philox key holds 128 bits
+        ["check", "--metric", "berwald", "--suites", "pde", "--samples", "2",
+         "--seed", str(2 ** 128)],
     ])
     def test_usage_errors_exit_two(self, argv, capsys):
         code = cli.main(argv)
