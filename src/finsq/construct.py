@@ -291,6 +291,8 @@ def berwald_family(n: int, c: float = 1.0, q: Optional[np.ndarray] = None,
         # center the box on the zero of z so samples stay inside |z| <= 0.9
         r = 0.9 / abs(c) / math.sqrt(n)
         box = tuple((float(-q[i] / c - r), float(-q[i] / c + r)) for i in range(n))
+        if not all(math.isfinite(v) for lo, hi in box for v in (lo, hi, hi - lo)):
+            raise ConstructionError(f"c = {c} puts the sample box beyond float64 range")
     z = OneFormField(n, bcomp, "linear-form", norm_squared=norm2)
     w = RiemannMetric(n, w.components, w.name, domain, box or None)
     return _package(w, z, name or f"berwald-family(n={n}, c={c})", c)

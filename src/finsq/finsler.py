@@ -129,9 +129,9 @@ def spray_jets(M: GeneralABMetric, x, y, x_out: int,
     F^2 is evaluated once in a space with caps (x_out + 1, y_out + 2) and
     total x_out + y_out + 2; the assembly consumes one x-order for [F^2]_x,
     one x- and one y-order for the mixed term, and two y-orders for g_ij,
-    so the solved G^i jets are exact on the advertised target space.
-    Raises StrongConvexityError, before solving, where g is not strongly
-    convex.
+    so the solved G^i jets are exact on the advertised target space, to
+    which every term is truncated before the assembly.  Raises
+    StrongConvexityError, before solving, where g is not strongly convex.
     """
     n = M.dim
     X, Y = seed_pair(x, y, x_out + 1, y_out + 2, total_cap=x_out + y_out + 2)
@@ -139,16 +139,17 @@ def spray_jets(M: GeneralABMetric, x, y, x_out: int,
     g = _fundamental(M, F2, x, y)
     target = xy_space(n, n, x_out, y_out, x_out + y_out)
 
+    Y = [v.truncated(target) for v in Y]
     dx = [F2.derivative(l) for l in range(n)]
     gy = [F2.derivative(n + i) for i in range(n)]
     rows: list[list[Jet]] = [[None] * n for _ in range(n)]
     rhs: list[Jet] = []
     for l in range(n):
-        dxy_l = [dx[k].derivative(n + l) for k in range(n)]
+        dxy_l = [dx[k].derivative(n + l).truncated(target) for k in range(n)]
         acc = dxy_l[0] * Y[0]
         for k in range(1, n):
             acc = acc + dxy_l[k] * Y[k]
-        rhs.append((acc - dx[l]).truncated(target))
+        rhs.append(acc - dx[l].truncated(target))
     for i in range(n):
         gyi = gy[i]
         for j in range(i, n):
@@ -268,16 +269,15 @@ def douglas_tensor(M: GeneralABMetric, x, y) -> DouglasTensor:
     """Douglas tensor from D = d^3/dy^3 [ G^i - (dG^m/dy^m) y^i / (n+1) ]."""
     n = M.dim
     _, _, G = spray_jets(M, x, y, 0, 4)
-    # rebuild the y seeds inside G's space for an exact product with N
-    space = G[0].space
-    Y = [Jet.variable(space, n + i, float(y[i])) for i in range(n)]
     N = G[0].derivative(n + 0)
     for m in range(1, n):
         N = N + G[m].derivative(n + m)
+    # N's space keeps the three y-orders D reads: seed y and truncate G there
+    Y = [Jet.variable(N.space, n + i, float(y[i])) for i in range(n)]
     inv = 1.0 / (n + 1)
-    P = [G[i] - inv * (N * Y[i]) for i in range(n)]
+    P = [G[i].truncated(N.space) - inv * (N * Y[i]) for i in range(n)]
     ys = tuple(range(n, 2 * n))
-    (D,) = partials(P, P[0].space, (ys, ys, ys))
+    (D,) = partials(P, N.space, (ys, ys, ys))
     return DouglasTensor(components=D, y=np.asarray(y, float))
 
 

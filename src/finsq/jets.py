@@ -6,8 +6,10 @@ of its :class:`~finsq.jetspace.JetSpace`.  Arithmetic on jets implements the
 truncated power-series ring, so the retained coefficients of any composite
 expression are exact to machine rounding: there is no step size anywhere.
 
-Coefficients are float64, and jets combine only with jets over the same
-direction set and with real scalars; anything else raises ``TypeError``.
+Coefficients are float64.  Jets combine only with real scalars and with
+jets over the same space: a jet over another space raises
+:class:`SpaceMismatchError`, and ``truncated`` is the one way from a space
+to a smaller one.  Anything else raises ``TypeError``.
 
 Jets go in through ``seed`` and ``seed_pair``, which seed coordinate
 directions, and derivatives come out through one reader, ``partials``:
@@ -29,7 +31,7 @@ import numpy as np
 
 from . import _kernels
 from ._kernels import JetDomainError, backend_name
-from .jetspace import JetSpace, TruncationError, jet_space, meet, xy_space
+from .jetspace import JetSpace, TruncationError, jet_space, xy_space
 
 __all__ = [
     "Jet", "seed", "seed_pair", "partials", "fd_partial", "sqrt",
@@ -38,7 +40,7 @@ __all__ = [
 
 
 class SpaceMismatchError(ValueError):
-    """Jets over unrelated direction sets were mixed in one operation."""
+    """Jets over two different spaces were mixed in one operation."""
 
 
 def _real(v) -> float:
@@ -100,18 +102,14 @@ class Jet:
 
     # -- ring operations -----------------------------------------------------
 
-    def _align(self, other: "Jet"):
-        if self.space is other.space:
-            return self.space, self.coeffs, other.coeffs
-        if self.space.var_groups != other.space.var_groups:
-            raise SpaceMismatchError("jets over different direction sets cannot be combined")
-        target = meet(self.space, other.space)
-        return target, self.truncated(target).coeffs, other.truncated(target).coeffs
+    def _same_space(self, other: "Jet") -> JetSpace:
+        if other.space is not self.space:
+            raise SpaceMismatchError(f"jet over {other.space} combined with a jet over {self.space}")
+        return self.space
 
     def __add__(self, other):
         if isinstance(other, Jet):
-            space, a, b = self._align(other)
-            return Jet(space, a + b)
+            return Jet(self._same_space(other), self.coeffs + other.coeffs)
         c = self.coeffs.copy()
         c[0] = c[0] + _real(other)
         return Jet(self.space, c)
@@ -123,8 +121,7 @@ class Jet:
 
     def __sub__(self, other):
         if isinstance(other, Jet):
-            space, a, b = self._align(other)
-            return Jet(space, a - b)
+            return Jet(self._same_space(other), self.coeffs - other.coeffs)
         return self.__add__(-other)
 
     def __rsub__(self, other):
@@ -132,16 +129,14 @@ class Jet:
 
     def __mul__(self, other):
         if isinstance(other, Jet):
-            space, a, b = self._align(other)
-            return Jet(space, _kernels.mul_f(space, a, b))
+            return Jet(self.space, _kernels.mul_f(self._same_space(other), self.coeffs, other.coeffs))
         return Jet(self.space, self.coeffs * _real(other))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, Jet):
-            space, a, b = self._align(other)
-            return Jet(space, _kernels.div_f(space, a, b))
+            return Jet(self.space, _kernels.div_f(self._same_space(other), self.coeffs, other.coeffs))
         return Jet(self.space, self.coeffs / _real(other))
 
     def __rtruediv__(self, other):

@@ -62,14 +62,6 @@ def xy_space(nx: int, ny: int, x_order: int, y_order: int, total_cap: int | None
     return jet_space((0,) * nx + (1,) * ny, (x_order, y_order), total_cap)
 
 
-def meet(a: "JetSpace", b: "JetSpace") -> "JetSpace":
-    """Largest common subspace of two spaces over the same variables."""
-    if a.var_groups != b.var_groups:
-        raise ValueError("cannot meet spaces over different variable layouts")
-    caps = tuple(min(u, v) for u, v in zip(a.group_caps, b.group_caps))
-    return jet_space(a.var_groups, caps, min(a.total_cap, b.total_cap))
-
-
 def _enumerate_indices(var_groups, group_caps, total_cap):
     n = len(var_groups)
     out = []

@@ -1,9 +1,8 @@
 """Small dense linear algebra generic over floats and jets.
 
-Charts are low dimensional (n <= 6 in practice), so plain Gaussian
-elimination with partial pivoting is all that is needed.  Pivoting compares
-leading values: for a jet that is the value of its constant term, the
-number whose magnitude governs invertibility of the truncated series.
+Charts are low dimensional (n <= 6 in practice) and every matrix solved
+here is symmetric positive definite, so elimination needs no pivoting: the
+sequence of ring operations depends on n alone, never on a sample's values.
 """
 
 from __future__ import annotations
@@ -12,7 +11,7 @@ import numbers
 
 
 class SingularMatrixError(ArithmeticError):
-    """Leading values of the matrix are numerically singular."""
+    """A pivot's leading value is not above the floor set by the diagonal."""
 
 
 def leading_value(v) -> float:
@@ -20,40 +19,38 @@ def leading_value(v) -> float:
 
 
 def solve(A, rhs):
-    """Solve A v = rhs for one right-hand-side vector of ring scalars."""
+    """Solve A v = rhs for a symmetric positive definite A of ring scalars.
+
+    LDL^T elimination kept as U = D L^T: it reads and updates only the upper
+    triangle.  A pivot whose leading value is not above 1e-13 times the
+    largest leading value on A's diagonal raises SingularMatrixError.  A
+    literal float 0.0 entry, a structural zero of the chart, is skipped.
+    """
     n = len(A)
-    M = [list(row) for row in A]
+    U = [list(row) for row in A]
     c = list(rhs)
-    if any(len(row) != n for row in M) or len(c) != n:
+    if any(len(row) != n for row in U) or len(c) != n:
         raise ValueError("matrix and right-hand side must agree in size")
-    for col in range(n):
-        piv, piv_mag = col, abs(leading_value(M[col][col]))
-        col_max = piv_mag
-        for r in range(col + 1, n):
-            mag = abs(leading_value(M[r][col]))
-            col_max = max(col_max, mag)
-            if mag > piv_mag:
-                piv, piv_mag = r, mag
-        if col_max == 0.0 or piv_mag < 1e-13 * col_max or piv_mag == 0.0:
-            raise SingularMatrixError(f"pivot {piv_mag:.3e} in column {col}")
-        if piv != col:
-            M[col], M[piv] = M[piv], M[col]
-            c[col], c[piv] = c[piv], c[col]
-        inv_p = 1.0 / M[col][col] if isinstance(M[col][col], numbers.Real) else None
-        for r in range(col + 1, n):
-            lead = leading_value(M[r][col])
-            if lead == 0.0 and isinstance(M[r][col], numbers.Real):
+    floor = 1e-13 * max(leading_value(U[k][k]) for k in range(n))
+    for k in range(n):
+        piv = U[k][k]
+        lead = leading_value(piv)
+        if not lead > floor:
+            raise SingularMatrixError(f"pivot {lead:.3e} in column {k} is not above {floor:.3e}")
+        inv_p = 1.0 / piv if isinstance(piv, numbers.Real) else None
+        for r in range(k + 1, n):
+            if isinstance(U[k][r], numbers.Real) and U[k][r] == 0.0:
                 continue
-            f = M[r][col] * inv_p if inv_p is not None else M[r][col] / M[col][col]
-            for c2 in range(col + 1, n):
-                M[r][c2] = M[r][c2] - f * M[col][c2]
-            c[r] = c[r] - f * c[col]
+            f = U[k][r] * inv_p if inv_p is not None else U[k][r] / piv
+            for c2 in range(r, n):
+                U[r][c2] = U[r][c2] - f * U[k][c2]
+            c[r] = c[r] - f * c[k]
     v = [None] * n
     for r in range(n - 1, -1, -1):
         acc = c[r]
         for c2 in range(r + 1, n):
-            acc = acc - M[r][c2] * v[c2]
-        v[r] = acc / M[r][r]
+            acc = acc - U[r][c2] * v[c2]
+        v[r] = acc / U[r][r]
     return v
 
 

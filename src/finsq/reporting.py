@@ -8,10 +8,16 @@ configuration and seed produce byte-identical documents.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+
+
+def json_float(v: float) -> Optional[float]:
+    """v as a strict JSON number: null where it is not finite."""
+    return float(v) if math.isfinite(v) else None
 
 
 @dataclass(frozen=True)
@@ -31,8 +37,8 @@ class ResidualStat:
     def to_json(self) -> dict:
         return {
             "name": self.name,
-            "max": float(self.max),
-            "mean": float(self.mean),
+            "max": json_float(self.max),
+            "mean": json_float(self.mean),
             "count": int(self.count),
             "tolerance": float(self.tolerance),
             "passed": self.passed,
@@ -104,7 +110,7 @@ def build_report(config: dict, results: list[SuiteResult]) -> dict:
 
 
 def dumps(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def validate_report(doc: dict) -> None:

@@ -38,7 +38,7 @@ import numpy as np
 from .finsler import GeneralABMetric, PhiFunction, f_value
 from .geometry import OneFormField, RiemannMetric, geodesic_spray, one_form_norm_sq
 from .jets import sqrt
-from .reporting import ResidualStat, residual_stat
+from .reporting import ResidualStat, json_float, residual_stat
 from .sampling import SampleTable
 
 
@@ -277,7 +277,7 @@ class EinsteinCertificate:
     def to_json(self) -> dict:
         return {
             "name": self.name,
-            "constant": float(self.constant),
+            "constant": json_float(self.constant),
             "samples_used": self.samples_used,
             "samples_skipped": self.samples_skipped,
             "passed": self.passed,

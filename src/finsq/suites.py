@@ -30,7 +30,7 @@ from . import geometry as geo
 from . import square as sq
 from .finsler import douglas_tensor
 from .registry import MetricBundle
-from .reporting import CheckEntry, SuiteResult, residual_stat
+from .reporting import CheckEntry, SuiteResult, json_float, residual_stat
 from .sampling import SampleSet, SampleTable, sample_inputs
 
 if TYPE_CHECKING:
@@ -106,7 +106,7 @@ def _suite_einstein(ctx: SuiteContext):
         if b.expected_characterization_constant is not None:
             dev = abs(cert.constant - b.expected_characterization_constant)
             extra = {"expected_constant": b.expected_characterization_constant,
-                     "constant_deviation": dev}
+                     "constant_deviation": json_float(dev)}
             extra_ok = dev <= ctx.tol("einstein/certificate.constant")
         scale = sq.check_einstein_scale_system(
             ctx.table, tolerances=ctx.cert_tols("einstein/scale-certificate"),

@@ -384,6 +384,29 @@ class TestCommandLine:
         assert code == 0
         assert "berwald-family" in cap.err
 
+    # the family's residuals (and at 1e308 its fitted constants) overflow
+    # float64, which numpy warns of
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("c", ["1e200", "1e308"])
+    def test_check_overflow_report_is_strict_json(self, c, capsys):
+        code = cli.main(["check", "--metric", '{"family": {"dim": 3, "c": %s}}' % c,
+                         "--samples", "3"])
+
+        def refuse(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        doc = json.loads(capsys.readouterr().out, parse_constant=refuse)
+        assert code == 1
+
+        def has_null(node):
+            if isinstance(node, dict):
+                return any(has_null(v) for v in node.values())
+            return node is None
+
+        checks = [c for suite in doc["suites"] for c in suite["checks"]]
+        assert any(has_null(c["detail"]) for c in checks)
+        assert not any(c["passed"] and has_null(c["detail"]) for c in checks)
+
     @pytest.mark.parametrize("argv", [
         ["check", "--metric", "no-such-metric", "--samples", "4"],
         ["check", "--metric", "{bad json"],
@@ -428,6 +451,8 @@ class TestCommandLine:
         # a Philox key holds 128 bits
         ["check", "--metric", "berwald", "--suites", "pde", "--samples", "2",
          "--seed", str(2 ** 128)],
+        # a tiny family constant whose sample box overflows float64
+        ["check", "--metric", '{"family": {"dim": 3, "c": 5e-309}}', "--samples", "3"],
     ])
     def test_usage_errors_exit_two(self, argv, capsys):
         code = cli.main(argv)

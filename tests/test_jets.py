@@ -24,7 +24,8 @@ from finsq.jets import (
     seed,
     seed_pair,
 )
-from finsq.jetspace import jet_space, meet, xy_space
+from finsq.jetspace import jet_space, xy_space
+from finsq.linalg import SingularMatrixError, solve
 
 
 def one_var(order):
@@ -328,13 +329,14 @@ class TestExtraction:
         expect = 2.0 * x1 * x2
         np.testing.assert_allclose(df.coeffs, expect.truncated(df.space).coeffs, rtol=0, atol=1e-15)
 
-    def test_alignment_lands_in_meet_space(self):
-        big = jet_space((0,), (4,))
-        small = jet_space((0,), (2,))
-        a = Jet.variable(big, 0, 1.0)
-        b = Jet.variable(small, 0, 1.0)
-        c = a * b
-        assert c.space is meet(big, small)
+    def test_ring_ops_refuse_two_spaces(self):
+        # no implicit meet: truncated is the one way between spaces
+        a = Jet.variable(jet_space((0,), (4,)), 0, 1.0)
+        b = Jet.variable(jet_space((0,), (2,)), 0, 1.0)
+        for op in (lambda: a * b, lambda: a + b, lambda: b - a, lambda: b / a):
+            with pytest.raises(SpaceMismatchError):
+                op()
+        assert (a.truncated(b.space) * b).space is b.space
 
     def test_truncation_is_projection(self):
         space = xy_space(1, 1, 2, 2)
@@ -345,3 +347,24 @@ class TestExtraction:
         g = f.truncated(sub)
         for idx in sub.indices:
             assert partial(g, idx) == partial(f, idx)
+
+
+class TestSolve:
+    # SPD, and partial pivoting would swap its rows: 0.5 > 0.3 in column 0
+    A = [[0.3, 0.5], [0.5, 1.0]]
+    rhs = [1.0, -2.0]
+
+    def test_floats_match_numpy(self):
+        v = solve(self.A, self.rhs)
+        np.testing.assert_allclose(v, np.linalg.solve(self.A, self.rhs), rtol=0, atol=1e-14)
+
+    def test_jet_leading_values_match_float_solve(self):
+        (t,) = seed([0.0], 2)
+        A = [[a + 0.1 * t * t for a in row] for row in self.A]
+        rhs = [r + t for r in self.rhs]
+        leads = [float(v.value) for v in solve(A, rhs)]
+        np.testing.assert_allclose(leads, np.linalg.solve(self.A, self.rhs), rtol=0, atol=1e-14)
+
+    def test_indefinite_matrix_refused(self):
+        with pytest.raises(SingularMatrixError):
+            solve([[0.0, 1.0], [1.0, 0.0]], [1.0, 1.0])
