@@ -146,7 +146,7 @@ def _cmd_construct(args) -> int:
         "expected_constant": cm.expected_constant,
         "certificate": cert.to_json(),
     }
-    _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
+    _emit(dumps(doc), args.out)
     dev = abs(cert.constant - cm.expected_constant)
     ok = cert.passed and dev <= TOLERANCES["einstein/certificate.constant"]
     print(f"{'PASS' if ok else 'FAIL'}: {cm.name}, fitted constant {cert.constant:.6g}",
@@ -189,9 +189,13 @@ def _cmd_eval(args) -> int:
             value = cd.ricci
         else:
             value = cd.flag_curvature(u)
+    if not np.all(np.isfinite(value)):
+        print(f"verification error: {bundle.name}: {q} is non-finite at x=({args.x}), "
+              f"y=({args.y})", file=sys.stderr)
+        return 1
     doc = {"metric": bundle.name, "quantity": q,
            "x": x.tolist(), "y": y.tolist(), "value": value}
-    sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    sys.stdout.write(dumps(doc))
     return 0
 
 

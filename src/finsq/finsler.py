@@ -9,12 +9,19 @@ is computed from the definition by exact jet differentiation:
     R^i_k = 2 dG^i/dx^k - y^m d^2G^i/(dx^m dy^k)
             + 2 G^m d^2G^i/(dy^m dy^k) - (dG^i/dy^m)(dG^m/dy^k)
 
-The sprays are produced as jets over (x, y) to whatever derivative orders a
-downstream formula consumes: the one evaluation of F^2 happens in a space
-with caps raised by the orders the extraction chain uses up, so every
-coefficient that survives is exact.  The flag bundle ``curvature_data`` is
-the one route to a flag-level quantity; ``spray_closed_form`` and the
-finite-difference fallback ``riemann_fd`` serve as independent oracles.
+The sprays are produced as jets over (x, y) to exactly the derivative orders
+a downstream formula reads: each caller states the x-, y- and total caps
+(x_out, y_out, total_out) of its reads, and the one evaluation of F^2
+happens in a space with caps (x_out + 1, y_out + 2) and total
+total_out + 2, raised by the orders the extraction chain uses up, so every
+coefficient that survives is exact and none is kept that no read takes.
+The flag bundle reads up to total order 2, caps (1, 2, 2); the Douglas
+tensor reads three y-derivatives of a y-derivative, caps (0, 4, 4); the
+pointwise spray reads values only, caps (0, 0, 0).
+
+The flag bundle ``curvature_data`` is the one route to a flag-level
+quantity; ``spray_closed_form`` and the finite-difference fallback
+``riemann_fd`` serve as independent oracles.
 """
 
 from __future__ import annotations
@@ -60,7 +67,10 @@ class PhiFunction:
 
     def partials(self, b2: float, s: float) -> tuple[float, float, float, float, float, float]:
         """(phi, phi_1, phi_2, phi_11, phi_12, phi_22) at a float argument,
-        where subscript 1 differentiates in b^2 and 2 in s."""
+        where subscript 1 differentiates in b^2 and 2 in s.
+
+        The reads stop at second order, in each variable and in total, so
+        the seeds' caps are (2, 2) with total 2."""
         if self.kind != "general":
             raise ValueError("two-argument partials are a general-kind operation")
         (U,), (S,) = seed_pair([b2], [s], 2, 2, 2)
@@ -103,6 +113,11 @@ def f_squared(M: GeneralABMetric, X, Y) -> Scalar:
     return F * F
 
 
+def _floats(v) -> str:
+    """A vector for a message: plain numbers to 6 significant digits."""
+    return "(" + ", ".join(f"{float(t):.6g}" for t in v) + ")"
+
+
 def _fundamental(M: GeneralABMetric, F2: Jet, x, y) -> np.ndarray:
     """g_ij at (x, y), read off an F^2 jet over (x, y) with y-order >= 2.
 
@@ -112,8 +127,8 @@ def _fundamental(M: GeneralABMetric, F2: Jet, x, y) -> np.ndarray:
     ev = np.linalg.eigvalsh(g)
     if ev[0] <= 0.0 or ev[-1] / ev[0] > 1e12:
         raise StrongConvexityError(
-            f"{M.name}: fundamental tensor not strongly convex at x={tuple(np.round(x, 6))}, "
-            f"y={tuple(np.round(y, 6))} (eigenvalues {ev})"
+            f"{M.name}: fundamental tensor not strongly convex at x={_floats(x)}, "
+            f"y={_floats(y)} (eigenvalues {_floats(ev)})"
         )
     return g
 
@@ -121,23 +136,28 @@ def _fundamental(M: GeneralABMetric, F2: Jet, x, y) -> np.ndarray:
 # -- spray -----------------------------------------------------------------
 
 
-def spray_jets(M: GeneralABMetric, x, y, x_out: int,
-               y_out: int) -> tuple[float, np.ndarray, list[Jet]]:
+def spray_jets(M: GeneralABMetric, x, y, x_out: int, y_out: int,
+               total_out: int) -> tuple[float, np.ndarray, list[Jet]]:
     """F^2 and g_ij at (x, y), and the spray coefficients G^i as jets exact
-    to (x_out, y_out, x_out + y_out).
+    on the target space with caps (x_out, y_out) and total total_out.
 
-    F^2 is evaluated once in a space with caps (x_out + 1, y_out + 2) and
-    total x_out + y_out + 2; the assembly consumes one x-order for [F^2]_x,
-    one x- and one y-order for the mixed term, and two y-orders for g_ij,
-    so the solved G^i jets are exact on the advertised target space, to
-    which every term is truncated before the assembly.  Raises
-    StrongConvexityError, before solving, where g is not strongly convex.
+    The caller states the caps of what it reads from G, the total cap
+    included: there is no default, because a total cap above the reads
+    roughly doubles the F^2 space (at n = 4, caps (2, 4) hold 700
+    coefficients with total 5 and 360 with total 4).  F^2 is evaluated once
+    in a space with
+    caps (x_out + 1, y_out + 2) and total total_out + 2; the assembly
+    consumes one x-order for [F^2]_x, one x- and one y-order for the mixed
+    term, and two y-orders for g_ij, so the solved G^i jets are exact on the
+    target space, to which every term is truncated before the assembly.
+    Raises StrongConvexityError, before solving, where g is not strongly
+    convex.
     """
     n = M.dim
-    X, Y = seed_pair(x, y, x_out + 1, y_out + 2, total_cap=x_out + y_out + 2)
+    X, Y = seed_pair(x, y, x_out + 1, y_out + 2, total_cap=total_out + 2)
     F2 = f_squared(M, X, Y)
     g = _fundamental(M, F2, x, y)
-    target = xy_space(n, n, x_out, y_out, x_out + y_out)
+    target = xy_space(n, n, x_out, y_out, total_out)
 
     Y = [v.truncated(target) for v in Y]
     dx = [F2.derivative(l) for l in range(n)]
@@ -161,8 +181,10 @@ def spray_jets(M: GeneralABMetric, x, y, x_out: int,
 
 
 def _spray_values(M: GeneralABMetric, x, y) -> np.ndarray:
-    """Spray values on the smallest jet space: riemann_fd's pointwise solve."""
-    G = spray_jets(M, x, y, 0, 0)[2]
+    """Spray values on the smallest jet space: riemann_fd's pointwise solve.
+
+    It reads the values of G alone, so the target caps are (0, 0, 0)."""
+    G = spray_jets(M, x, y, 0, 0, 0)[2]
     return partials(G, G[0].space, ())[0]
 
 
@@ -266,9 +288,13 @@ class DouglasTensor:
 
 
 def douglas_tensor(M: GeneralABMetric, x, y) -> DouglasTensor:
-    """Douglas tensor from D = d^3/dy^3 [ G^i - (dG^m/dy^m) y^i / (n+1) ]."""
+    """Douglas tensor from D = d^3/dy^3 [ G^i - (dG^m/dy^m) y^i / (n+1) ].
+
+    D reads three y-derivatives of N = dG^m/dy^m, one more y-order than it
+    reads of G itself, and no x-derivative: the spray's target caps are
+    (0, 4, 4), so F^2 runs at caps (1, 6) with total 6."""
     n = M.dim
-    _, _, G = spray_jets(M, x, y, 0, 4)
+    _, _, G = spray_jets(M, x, y, 0, 4, 4)
     N = G[0].derivative(n + 0)
     for m in range(1, n):
         N = N + G[m].derivative(n + m)
@@ -326,10 +352,14 @@ class CurvatureData:
 
 def curvature_data(M: GeneralABMetric, x, y) -> CurvatureData:
     """The flag bundle at (x, y), from one spray solve: F^2 and g come from
-    the F^2 jet the solve evaluates, so F^2 is evaluated once per flag."""
+    the F^2 jet the solve evaluates, so F^2 is evaluated once per flag.
+
+    Berwald's Riemann tensor reads G, dG/dx, dG/dy, d^2G/dx dy and
+    d^2G/dy dy, nothing beyond total order 2: the spray's target caps are
+    (1, 2, 2), so F^2 runs at caps (2, 4) with total 4."""
     x = np.asarray(x, float)
     y = np.asarray(y, float)
-    f2, g, G = spray_jets(M, x, y, 1, 2)
+    f2, g, G = spray_jets(M, x, y, 1, 2, 2)
     xs, ys = tuple(range(M.dim)), tuple(range(M.dim, 2 * M.dim))
     # dgxy[i, m, k] = d^2 G^i / dx^m dy^k, dgyy[i, m, k] = d^2 G^i / dy^m dy^k
     gv, dgx, dgy, dgxy, dgyy = partials(G, G[0].space, (), (xs,), (ys,), (xs, ys), (ys, ys))

@@ -126,6 +126,8 @@ def geodesic_spray(alpha: RiemannMetric, x: Sequence[float], y: Sequence[float])
 
     This differentiates the energy alpha^2(x, y) directly, which is the same
     route the Finsler spray uses; christoffel assembly is the cross-check.
+    The reads are a_ij, [a^2]_x and [a^2]_{xy}, so the seeds' caps are
+    (1, 1) with total 2.
     """
     n = alpha.dim
     X, Y = seed_pair(x, y, 1, 1)
@@ -142,7 +144,8 @@ def geodesic_spray(alpha: RiemannMetric, x: Sequence[float], y: Sequence[float])
 def ricci_tensor(alpha: RiemannMetric, x: Sequence[float]) -> np.ndarray:
     """Ricci tensor by the classical curvature contraction of Christoffel
     symbols and their first x-derivatives, read off second-order jets of
-    a_ij.  Independent of the spray-based curvature path."""
+    a_ij (d Gamma reads d^2 a, so the seed order is 2).  Independent of the
+    spray-based curvature path."""
     X = seed(x, 2)
     _, _, _, gamma, dgamma = _levi_civita(alpha.components(X), X)
     return _ricci(gamma, dgamma)
@@ -192,7 +195,9 @@ class BetaDerivatives:
 
 
 def beta_derivatives(alpha: RiemannMetric, beta: OneFormField, x) -> BetaDerivatives:
-    """The point bundle, from one evaluation of a_ij and b_i on second-order jets."""
+    """The point bundle, from one evaluation of a_ij and b_i on second-order
+    jets: d Gamma and d b_{i|j} read second x-derivatives of a_ij and b_i,
+    and nothing reads beyond them, so the seed order is 2."""
     X = seed(x, 2)
     a, ainv, dainv, gamma, dgamma = _levi_civita(alpha.components(X), X)
     xs = tuple(range(alpha.dim))

@@ -14,7 +14,9 @@ order is what makes division and square root computable by a per-degree
 recursion, and it keeps the contribution order of every kernel tier
 identical so results agree bit for bit.
 
-Tables are built once per space and cached process-wide.
+Spaces are cached process-wide.  A space's kernel triple tables are built
+on its first kernel use, because many spaces are only waypoints of a
+derivative or a truncation and never run a kernel.
 """
 
 from __future__ import annotations
@@ -26,6 +28,12 @@ from typing import Iterable
 import numpy as np
 
 _SPACE_CACHE: dict[tuple, "JetSpace"] = {}
+
+_TRIPLE_TABLES = (
+    "mul_i", "mul_j", "mul_k",
+    "div_i", "div_j", "div_k", "div_trip_off",
+    "sq_i", "sq_j", "sq_k", "sq_trip_off",
+)
 
 
 class TruncationError(LookupError):
@@ -95,10 +103,7 @@ class JetSpace:
 
     __slots__ = (
         "var_groups", "group_caps", "total_cap", "nvars", "size",
-        "indices", "position", "degrees", "deg_off", "fact",
-        "mul_i", "mul_j", "mul_k",
-        "div_i", "div_j", "div_k", "div_trip_off",
-        "sq_i", "sq_j", "sq_k", "sq_trip_off",
+        "indices", "position", "degrees", "deg_off", "fact", *_TRIPLE_TABLES,
         "_deriv_maps", "_projections", "_reads",
     )
 
@@ -117,10 +122,16 @@ class JetSpace:
             [math.prod(math.factorial(k) for k in m) for m in self.indices],
             dtype=np.float64,
         )
-        self._build_tables()
         self._deriv_maps = {}
         self._projections = {}
         self._reads = {}
+
+    def __getattr__(self, name):
+        # reached only while a slot is unset: the triple tables before their build
+        if name not in _TRIPLE_TABLES:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        self._build_tables()
+        return object.__getattribute__(self, name)
 
     def _build_tables(self):
         # For every retained k, every componentwise divisor i is retained too

@@ -407,6 +407,30 @@ class TestCommandLine:
         assert any(has_null(c["detail"]) for c in checks)
         assert not any(c["passed"] and has_null(c["detail"]) for c in checks)
 
+    # the same overflow as above, through the one flag bundle `eval` reads
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_eval_non_finite_value_exits_one(self, capsys):
+        code = cli.main(["eval", "--metric", '{"family": {"dim": 3, "c": 1e200}}',
+                         "--x", "0,0,0", "--y", "1,0,0", "--quantity", "ricci"])
+        cap = capsys.readouterr()
+        assert code == 1
+        assert "NaN" not in cap.out
+        assert "verification error:" in cap.err and "non-finite" in cap.err
+        assert "Traceback" not in cap.err
+
+    def test_strong_convexity_message_prints_plain_numbers(self, tmp_path, capsys):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({
+            "metric": {"construct": {"factor": {"type": "flat", "dim": 2},
+                                     "c": 0, "d": 0.99999999}},
+            "samples": 5, "b_cap": 0.9999999999}))
+        code = cli.main(["check", "--config", str(p)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "not strongly convex" in err
+        assert "np.float64" not in err
+        assert "0.0, 0.0, -0.0" not in err
+
     @pytest.mark.parametrize("argv", [
         ["check", "--metric", "no-such-metric", "--samples", "4"],
         ["check", "--metric", "{bad json"],

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from finsq import finsler
 from finsq import geometry as geo
 from finsq.finsler import (
     DegenerateFlagError,
@@ -27,6 +28,8 @@ from finsq.finsler import (
     spray_jets,
 )
 from finsq.jets import sqrt
+from finsq.registry import builtin_names, resolve_metric
+from finsq.sampling import sample_inputs
 
 from conftest import conformal_poly, philox
 
@@ -111,7 +114,7 @@ class TestSprayCrossCheck:
         M = berwald_square(3)
         x = np.array([0.1, -0.2, 0.25])
         y = np.array([0.7, -0.3, 0.5])
-        _, _, G = spray_jets(M, x, y, 1, 2)
+        _, _, G = spray_jets(M, x, y, 1, 2, 2)
         values = np.array([float(g.value) for g in G])
         assert np.max(np.abs(values - _spray_values(M, x, y))) <= 1e-14
 
@@ -322,3 +325,55 @@ class TestErrorsAndBundles:
         assert np.array_equal(cd.spray, _spray_values(M, x, y))
         assert cd.ricci == float(np.trace(cd.riemann))
         assert cd.f2 == pytest.approx(float(f_value(M, list(x), list(y))) ** 2, rel=1e-14)
+
+
+class TestSpraySpaces:
+    """Each caller of spray_jets retains only what it reads."""
+
+    @staticmethod
+    def _f2_spaces(monkeypatch):
+        spaces = []
+        inner = finsler.f_squared
+
+        def recorded(M, X, Y):
+            F2 = inner(M, X, Y)
+            spaces.append(F2.space)
+            return F2
+
+        monkeypatch.setattr(finsler, "f_squared", recorded)
+        return spaces
+
+    @pytest.mark.parametrize("n,size", [(4, 360), (6, 1302)])
+    def test_flag_bundle_f2_space(self, n, size, monkeypatch):
+        spaces = self._f2_spaces(monkeypatch)
+        x, y = sample(philox(31), berwald_square(n))
+        curvature_data(berwald_square(n), x, y)
+        (space,) = spaces
+        assert (space.group_caps, space.total_cap, space.size) == ((2, 4), 4, size)
+
+    def test_douglas_f2_space(self, monkeypatch):
+        spaces = self._f2_spaces(monkeypatch)
+        x, y = sample(philox(32), berwald_square(4))
+        douglas_tensor(berwald_square(4), x, y)
+        (space,) = spaces
+        assert (space.group_caps, space.total_cap, space.size) == ((1, 6), 6, 714)
+
+    @pytest.mark.parametrize("name", builtin_names())
+    def test_flag_bundle_bit_identical_to_total_three(self, name, monkeypatch):
+        # every retained coefficient is summed in the same order in either space
+        bundle = resolve_metric(name)
+        samples = sample_inputs(bundle.alpha, bundle.beta, 3, 7)
+        inner = finsler.spray_jets
+
+        def total_three(M, x, y, x_out, y_out, total_out):
+            assert (x_out, y_out, total_out) == (1, 2, 2)
+            return inner(M, x, y, x_out, y_out, 3)
+
+        for x, y in zip(samples.points, samples.directions):
+            new = curvature_data(bundle.metric, x, y)
+            with monkeypatch.context() as m:
+                m.setattr(finsler, "spray_jets", total_three)
+                old = curvature_data(bundle.metric, x, y)
+            assert new.f2 == old.f2
+            for field in ("g", "spray", "riemann"):
+                assert np.array_equal(getattr(new, field), getattr(old, field)), field

@@ -338,6 +338,22 @@ class TestExtraction:
                 op()
         assert (a.truncated(b.space) * b).space is b.space
 
+    def test_triple_tables_built_on_first_kernel_use(self):
+        def built(space):
+            try:
+                object.__getattribute__(space, "mul_i")
+            except AttributeError:
+                return False
+            return True
+
+        space = jet_space((0, 0, 1), (3, 2), 4)  # a layout no other test uses
+        x = Jet.variable(space, 0, 0.5)
+        waypoint = (x + 1.0).derivative(0).space
+        assert not built(space) and not built(waypoint)
+        x * x
+        assert built(space) and not built(waypoint)
+        assert space.sq_trip_off[-1] == space.sq_i.size
+
     def test_truncation_is_projection(self):
         space = xy_space(1, 1, 2, 2)
         sub = xy_space(1, 1, 1, 1)
