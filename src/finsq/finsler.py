@@ -22,6 +22,14 @@ pointwise spray reads values only, caps (0, 0, 0).
 The flag bundle ``curvature_data`` is the one route to a flag-level
 quantity; ``spray_closed_form`` and the finite-difference fallback
 ``riemann_fd`` serve as independent oracles.
+
+``spray_jets``, ``curvature_data`` and ``douglas_tensor`` take one sample,
+x and y of shape (n,), or a block of S samples, shapes (S, n): the block
+runs one jet program whose jets carry a sample axis, and each sample's
+result is bit-identical to its lone build.  The float math after the
+jet read (``einsum``, ``eigvalsh``) runs sample by sample.  Where any
+sample of a block fails, the block raises one of ``SAMPLE_FAILURES``,
+naming the first sample that failed at the first op that failed.
 """
 
 from __future__ import annotations
@@ -34,12 +42,16 @@ import numpy as np
 
 from . import linalg
 from .geometry import OneFormField, RiemannMetric, Scalar, beta_derivatives, geodesic_spray, one_form_norm_sq
-from .jets import Jet, fd_partial, partials, seed_pair, sqrt
+from .jets import Jet, JetDomainError, fd_partial, partials, seed_pair, sqrt
 from .jetspace import xy_space
 
 
 class StrongConvexityError(ArithmeticError):
     """The fundamental tensor is not positive definite at the sample."""
+
+
+# What a bundle build raises when one sample is outside the metric's domain.
+SAMPLE_FAILURES = (JetDomainError, linalg.SingularMatrixError, StrongConvexityError)
 
 
 class DegenerateFlagError(ValueError):
@@ -119,17 +131,22 @@ def _floats(v) -> str:
 
 
 def _fundamental(M: GeneralABMetric, F2: Jet, x, y) -> np.ndarray:
-    """g_ij at (x, y), read off an F^2 jet over (x, y) with y-order >= 2.
+    """g_ij at (x, y), read off an F^2 jet over (x, y) with y-order >= 2;
+    shape (n, n), or (S, n, n) over a block.
 
-    Raises StrongConvexityError unless g is strongly convex."""
-    ys = tuple(range(M.dim, 2 * M.dim))
+    Raises StrongConvexityError, at the first sample that fails, unless g
+    is strongly convex at every sample."""
+    n = M.dim
+    ys = tuple(range(n, 2 * n))
     g = 0.5 * partials(F2, F2.space, (ys, ys))[0]
-    ev = np.linalg.eigvalsh(g)
-    if ev[0] <= 0.0 or ev[-1] / ev[0] > 1e12:
-        raise StrongConvexityError(
-            f"{M.name}: fundamental tensor not strongly convex at x={_floats(x)}, "
-            f"y={_floats(y)} (eigenvalues {_floats(ev)})"
-        )
+    for s, gs in enumerate(g.reshape(-1, n, n)):
+        ev = np.linalg.eigvalsh(gs)
+        if ev[0] <= 0.0 or ev[-1] / ev[0] > 1e12:
+            raise StrongConvexityError(
+                f"{M.name}: fundamental tensor not strongly convex at "
+                f"x={_floats(np.reshape(x, (-1, n))[s])}, "
+                f"y={_floats(np.reshape(y, (-1, n))[s])} (eigenvalues {_floats(ev)})"
+            )
     return g
 
 
@@ -137,9 +154,11 @@ def _fundamental(M: GeneralABMetric, F2: Jet, x, y) -> np.ndarray:
 
 
 def spray_jets(M: GeneralABMetric, x, y, x_out: int, y_out: int,
-               total_out: int) -> tuple[float, np.ndarray, list[Jet]]:
+               total_out: int) -> tuple[float | np.ndarray, np.ndarray, list[Jet]]:
     """F^2 and g_ij at (x, y), and the spray coefficients G^i as jets exact
     on the target space with caps (x_out, y_out) and total total_out.
+    Blocks x and y of shape (S, n) give F^2 of shape (S,), g of shape
+    (S, n, n) and jets with a sample axis.
 
     The caller states the caps of what it reads from G, the total cap
     included: there is no default, because a total cap above the reads
@@ -177,7 +196,7 @@ def spray_jets(M: GeneralABMetric, x, y, x_out: int, y_out: int,
             rows[i][j] = gij
             rows[j][i] = gij
     G = linalg.solve(rows, rhs)
-    return float(F2.value), g, [0.25 * gi for gi in G]
+    return F2.value.copy(), g, [0.25 * gi for gi in G]
 
 
 def _spray_values(M: GeneralABMetric, x, y) -> np.ndarray:
@@ -287,24 +306,29 @@ class DouglasTensor:
         return float(np.max(np.abs(np.einsum("ijkl,j->ikl", self.components, self.y))))
 
 
-def douglas_tensor(M: GeneralABMetric, x, y) -> DouglasTensor:
-    """Douglas tensor from D = d^3/dy^3 [ G^i - (dG^m/dy^m) y^i / (n+1) ].
+def douglas_tensor(M: GeneralABMetric, x, y) -> DouglasTensor | list[DouglasTensor]:
+    """Douglas tensor from D = d^3/dy^3 [ G^i - (dG^m/dy^m) y^i / (n+1) ];
+    a list of S tensors for blocks x and y of shape (S, n).
 
     D reads three y-derivatives of N = dG^m/dy^m, one more y-order than it
     reads of G itself, and no x-derivative: the spray's target caps are
     (0, 4, 4), so F^2 runs at caps (1, 6) with total 6."""
     n = M.dim
+    y = np.asarray(y, float)
     _, _, G = spray_jets(M, x, y, 0, 4, 4)
     N = G[0].derivative(n + 0)
     for m in range(1, n):
         N = N + G[m].derivative(n + m)
-    # N's space keeps the three y-orders D reads: seed y and truncate G there
-    Y = [Jet.variable(N.space, n + i, float(y[i])) for i in range(n)]
+    # N's space keeps the three y-orders D reads: seed y, one value per
+    # sample, and truncate G there
+    Y = [Jet.variable(N.space, n + i, v) for i, v in enumerate(y.T)]
     inv = 1.0 / (n + 1)
     P = [G[i].truncated(N.space) - inv * (N * Y[i]) for i in range(n)]
     ys = tuple(range(n, 2 * n))
     (D,) = partials(P, N.space, (ys, ys, ys))
-    return DouglasTensor(components=D, y=np.asarray(y, float))
+    if y.ndim == 1:
+        return DouglasTensor(components=D, y=y)
+    return [DouglasTensor(components=D[s], y=y[s]) for s in range(len(y))]
 
 
 # -- bundles --------------------------------------------------------------------
@@ -350,9 +374,11 @@ class CurvatureData:
         return abs(self.ricci - (len(self.y) - 1) * float(c) * self.f2) / self.f2
 
 
-def curvature_data(M: GeneralABMetric, x, y) -> CurvatureData:
+def curvature_data(M: GeneralABMetric, x, y) -> CurvatureData | list[CurvatureData]:
     """The flag bundle at (x, y), from one spray solve: F^2 and g come from
     the F^2 jet the solve evaluates, so F^2 is evaluated once per flag.
+    Blocks x and y of shape (S, n) give a list of S bundles from one solve
+    over the block.
 
     Berwald's Riemann tensor reads G, dG/dx, dG/dy, d^2G/dx dy and
     d^2G/dy dy, nothing beyond total order 2: the spray's target caps are
@@ -361,12 +387,21 @@ def curvature_data(M: GeneralABMetric, x, y) -> CurvatureData:
     y = np.asarray(y, float)
     f2, g, G = spray_jets(M, x, y, 1, 2, 2)
     xs, ys = tuple(range(M.dim)), tuple(range(M.dim, 2 * M.dim))
-    # dgxy[i, m, k] = d^2 G^i / dx^m dy^k, dgyy[i, m, k] = d^2 G^i / dy^m dy^k
-    gv, dgx, dgy, dgxy, dgyy = partials(G, G[0].space, (), (xs,), (ys,), (xs, ys), (ys, ys))
+    reads = partials(G, G[0].space, (), (xs,), (ys,), (xs, ys), (ys, ys))
+    if x.ndim == 1:
+        return _flag_bundle(x, y, f2, g, *reads)
+    return [_flag_bundle(x[s], y[s], f2[s], g[s], *(r[s] for r in reads))
+            for s in range(len(x))]
+
+
+def _flag_bundle(x, y, f2, g, gv, dgx, dgy, dgxy, dgyy) -> CurvatureData:
+    """One sample's bundle from its spray partials: dgxy[i, m, k] is
+    d^2 G^i / dx^m dy^k and dgyy[i, m, k] is d^2 G^i / dy^m dy^k."""
     R = (
         2.0 * dgx
         - np.einsum("m,imk->ik", y, dgxy)
         + 2.0 * np.einsum("m,imk->ik", gv, dgyy)
         - np.einsum("im,mk->ik", dgy, dgy)
     )
-    return CurvatureData(x=x, y=y, f2=f2, g=g, spray=gv, riemann=R, ricci=float(np.trace(R)))
+    return CurvatureData(x=x, y=y, f2=float(f2), g=g, spray=gv, riemann=R,
+                         ricci=float(np.trace(R)))

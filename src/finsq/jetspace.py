@@ -134,39 +134,41 @@ class JetSpace:
         return object.__getattribute__(self, name)
 
     def _build_tables(self):
-        # For every retained k, every componentwise divisor i is retained too
-        # (downward closure), so enumeration needs no membership filtering.
-        pos = self.position
-        mi, mj, mk = [], [], []
-        di, dj, dk = [], [], []
-        si, sj, sk = [], [], []
-        div_counts = [0] * (self.total_cap + 1)
-        sq_counts = [0] * (self.total_cap + 1)
-        for pk, k in enumerate(self.indices):
-            deg = int(self.degrees[pk])
-            for i in itertools.product(*[range(kv + 1) for kv in k]):
-                j = tuple(a - b for a, b in zip(k, i))
-                pi = pos[i]
-                pj = pos[j]
-                mi.append(pi)
-                mj.append(pj)
-                mk.append(pk)
-                if pj != 0:
-                    di.append(pi)
-                    dj.append(pj)
-                    dk.append(pk)
-                    div_counts[deg] += 1
-                    if pi != 0:
-                        si.append(pi)
-                        sj.append(pj)
-                        sk.append(pk)
-                        sq_counts[deg] += 1
-        as_i32 = lambda xs: np.asarray(xs, dtype=np.int32)
+        # Every pair (k, i) with i <= k componentwise: k in the space's order,
+        # then i in lexicographic order (itertools.product's), read off the
+        # rank t of i among k's divisors as mixed-radix digits, last variable
+        # fastest.  Downward closure retains every i and j = k - i, so the
+        # lookup needs no membership filtering.
+        ks = np.array(self.indices, dtype=np.int64).reshape(self.size, self.nvars)
+        counts = ks + 1
+        per_k = counts.prod(axis=1)
+        mk = np.repeat(np.arange(self.size), per_k)
+        t = np.arange(len(mk)) - np.repeat(np.cumsum(per_k) - per_k, per_k)
+        stride = np.ones_like(counts)
+        stride[:, :-1] = np.cumprod(counts[:, :0:-1], axis=1)[:, ::-1]
+        # a multi-index's code orders like the index itself, lexicographically
+        radix = [self.group_caps[g] + 1 for g in self.var_groups]
+        weight = np.array([math.prod(radix[v + 1:]) for v in range(self.nvars)], dtype=np.int64)
+        code_i = np.zeros(len(mk), dtype=np.int64)
+        code_j = np.zeros(len(mk), dtype=np.int64)
+        for v in range(self.nvars):
+            digit = t // stride[mk, v] % counts[mk, v]
+            code_i += digit * weight[v]
+            code_j += (ks[mk, v] - digit) * weight[v]
+        codes = ks @ weight
+        lex = np.argsort(codes)
+        mi = lex[np.searchsorted(codes[lex], code_i)]
+        mj = lex[np.searchsorted(codes[lex], code_j)]
+        div = mj != 0
+        sq = div & (mi != 0)
+        deg = self.degrees[mk]
+        ndeg = self.total_cap + 1
+        as_i32 = lambda a: a.astype(np.int32)
         self.mul_i, self.mul_j, self.mul_k = as_i32(mi), as_i32(mj), as_i32(mk)
-        self.div_i, self.div_j, self.div_k = as_i32(di), as_i32(dj), as_i32(dk)
-        self.sq_i, self.sq_j, self.sq_k = as_i32(si), as_i32(sj), as_i32(sk)
-        self.div_trip_off = np.concatenate([[0], np.cumsum(div_counts)]).astype(np.int64)
-        self.sq_trip_off = np.concatenate([[0], np.cumsum(sq_counts)]).astype(np.int64)
+        self.div_i, self.div_j, self.div_k = as_i32(mi[div]), as_i32(mj[div]), as_i32(mk[div])
+        self.sq_i, self.sq_j, self.sq_k = as_i32(mi[sq]), as_i32(mj[sq]), as_i32(mk[sq])
+        self.div_trip_off = np.concatenate([[0], np.cumsum(np.bincount(deg[div], minlength=ndeg))])
+        self.sq_trip_off = np.concatenate([[0], np.cumsum(np.bincount(deg[sq], minlength=ndeg))])
 
     # -- derived spaces ----------------------------------------------------
 

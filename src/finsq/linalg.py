@@ -3,6 +3,8 @@
 Charts are low dimensional (n <= 6 in practice) and every matrix solved
 here is symmetric positive definite, so elimination needs no pivoting: the
 sequence of ring operations depends on n alone, never on a sample's values.
+That is what lets jets with a sample axis run one elimination for a whole
+block of samples.
 """
 
 from __future__ import annotations
@@ -14,8 +16,10 @@ class SingularMatrixError(ArithmeticError):
     """A pivot's leading value is not above the floor set by the diagonal."""
 
 
-def leading_value(v) -> float:
-    return float(v.coeffs[0]) if hasattr(v, "coeffs") else float(v)
+def leading_values(v) -> list[float]:
+    """The leading value of a ring scalar at each sample: one for a float or
+    a jet without a sample axis, S for a jet with one."""
+    return v.coeffs[:1].ravel().tolist() if hasattr(v, "coeffs") else [float(v)]
 
 
 def solve(A, rhs):
@@ -23,20 +27,25 @@ def solve(A, rhs):
 
     LDL^T elimination kept as U = D L^T: it reads and updates only the upper
     triangle.  A pivot whose leading value is not above 1e-13 times the
-    largest leading value on A's diagonal raises SingularMatrixError.  A
-    literal float 0.0 entry, a structural zero of the chart, is skipped.
+    largest leading value on A's diagonal raises SingularMatrixError; with
+    a sample axis, the first sample that fails names the values.  A literal
+    float 0.0 entry, a structural zero of the chart, is skipped.
     """
     n = len(A)
     U = [list(row) for row in A]
     c = list(rhs)
     if any(len(row) != n for row in U) or len(c) != n:
         raise ValueError("matrix and right-hand side must agree in size")
-    floor = 1e-13 * max(leading_value(U[k][k]) for k in range(n))
+    # one floor per sample; a single leading value stands for every sample
+    diag = [leading_values(U[k][k]) for k in range(n)]
+    floor = [1e-13 * max(d[s % len(d)] for d in diag) for s in range(max(map(len, diag)))]
     for k in range(n):
         piv = U[k][k]
-        lead = leading_value(piv)
-        if not lead > floor:
-            raise SingularMatrixError(f"pivot {lead:.3e} in column {k} is not above {floor:.3e}")
+        lead = leading_values(piv)
+        for s, lo in enumerate(floor):
+            at = lead[s % len(lead)]
+            if not at > lo:
+                raise SingularMatrixError(f"pivot {at:.3e} in column {k} is not above {lo:.3e}")
         inv_p = 1.0 / piv if isinstance(piv, numbers.Real) else None
         for r in range(k + 1, n):
             if isinstance(U[k][r], numbers.Real) and U[k][r] == 0.0:

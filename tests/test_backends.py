@@ -1,8 +1,9 @@
 """The compiled and numpy kernel tiers must agree bit for bit.
 
 Both walk the same triple tables in the same order, so every intermediate
-sum sees the same operands in the same sequence.  If the extension is not
-built these tests exercise only the numpy tier's self-consistency.
+sum sees the same operands in the same sequence, on one sample or on a
+block of samples.  If the extension is not built these tests exercise
+only the numpy tier's self-consistency.
 """
 
 import numpy as np
@@ -13,6 +14,7 @@ from finsq.config import parse_config
 from finsq.jetspace import jet_space, xy_space
 from finsq.registry import resolve_metric
 from finsq.reporting import build_report, dumps
+from finsq.sampling import FLAG_CHUNK
 from finsq.suites import run_suites
 
 try:
@@ -28,11 +30,75 @@ SPACES = [
 ]
 
 
-def _random_coeffs(space, rng, positive_lead=False):
-    c = rng.uniform(-1.0, 1.0, space.size)
+def _random_coeffs(space, rng, positive_lead=False, lanes=()):
+    c = rng.uniform(-1.0, 1.0, (space.size,) + lanes)
     if positive_lead:
-        c[0] = rng.uniform(0.5, 2.0)
+        c[0] = rng.uniform(0.5, 2.0, lanes)
     return c
+
+
+# Each kernel as f(space, args, out): the compiled call, and the numpy
+# tier's, on 1-d or 2-d coefficient arrays.
+def _compiled(op):
+    def run(space, args, out):
+        acc = np.zeros(out.shape)
+        if op == "mul":
+            _jetcore.mul(*args, out, space.mul_i, space.mul_j, space.mul_k)
+        elif op == "div":
+            _jetcore.div(*args, out, acc, space.div_i, space.div_j, space.div_k,
+                         space.div_trip_off, space.deg_off, space.total_cap + 1)
+        else:
+            _jetcore.sqrt_(*args, out, acc, space.sq_i, space.sq_j, space.sq_k,
+                           space.sq_trip_off, space.deg_off, space.total_cap + 1)
+    return run
+
+
+def _numpy(op):
+    def run(space, args, out):
+        if op == "mul":
+            _kernels.np_mul(space, *args, out)
+        else:
+            getattr(_kernels, f"np_{op}")(space, *args, out, np.zeros(out.shape))
+    return run
+
+
+def _operands(op, space, rng, lanes=()):
+    if op == "mul":
+        return [_random_coeffs(space, rng, lanes=lanes), _random_coeffs(space, rng, lanes=lanes)]
+    if op == "div":
+        return [_random_coeffs(space, rng, lanes=lanes),
+                _random_coeffs(space, rng, positive_lead=True, lanes=lanes)]
+    return [_random_coeffs(space, rng, positive_lead=True, lanes=lanes)]
+
+
+TIERS = [pytest.param(_numpy, id="numpy"),
+         pytest.param(_compiled, id="compiled",
+                      marks=pytest.mark.skipif(_jetcore is None, reason="compiled kernels not built"))]
+
+
+@pytest.mark.parametrize("tier", TIERS)
+@pytest.mark.parametrize("op", ["mul", "div", "sqrt"])
+@pytest.mark.parametrize("space", SPACES, ids=lambda s: f"caps{s.group_caps}t{s.total_cap}")
+def test_block_columns_equal_lone_calls(space, op, tier, rng):
+    """A (size, S) block gives, column by column, the S lone 1-d results."""
+    args = _operands(op, space, rng, lanes=(7,))
+    out = np.zeros((space.size, 7))
+    tier(op)(space, args, out)
+    for s in range(7):
+        lone = np.zeros(space.size)
+        tier(op)(space, [np.ascontiguousarray(a[:, s]) for a in args], lone)
+        assert np.array_equal(out[:, s], lone)
+
+
+@pytest.mark.skipif(_jetcore is None, reason="compiled kernels not built")
+@pytest.mark.parametrize("op", ["mul", "div", "sqrt"])
+@pytest.mark.parametrize("space", SPACES, ids=lambda s: f"caps{s.group_caps}t{s.total_cap}")
+def test_block_bitwise_across_tiers(space, op, rng):
+    args = _operands(op, space, rng, lanes=(5,))
+    out_c, out_n = np.zeros((space.size, 5)), np.zeros((space.size, 5))
+    _compiled(op)(space, args, out_c)
+    _numpy(op)(space, args, out_n)
+    assert np.array_equal(out_c, out_n)
 
 
 @pytest.mark.skipif(_jetcore is None, reason="compiled kernels not built")
@@ -146,6 +212,78 @@ class TestCompiledRejectsBadInput:
         with pytest.raises(IndexError):
             _jetcore.div(*args)
 
+    # -- blocks of samples: a bad shape is refused before any loop runs
+
+    @staticmethod
+    def _guarded_out(shape):
+        """A zeroed out inside a NaN-filled buffer: a write outside out
+        shows in the guard."""
+        guard = np.full(int(np.prod(shape)) + 16, np.nan)
+        out = guard[8:-8].reshape(shape)
+        out[...] = 0.0
+        return guard, out
+
+    def _assert_refused(self, kernel, args, slot, exc):
+        guard, out = self._guarded_out(args[slot].shape)
+        args[slot] = out
+        with pytest.raises(exc):
+            kernel(*args)
+        assert np.all(np.isnan(guard[:8])) and np.all(np.isnan(guard[-8:]))
+        assert not np.any(out)
+
+    def _blocks(self, lanes):
+        """(kernel, args, coefficient slots, out slot) for each kernel, with
+        (size, lanes) blocks in every coefficient slot."""
+        for kernel, args, slots, out in ((_jetcore.mul, self._mul_args(), (0, 1, 2), 2),
+                                         (_jetcore.div, self._div_args(), (0, 1, 2, 3), 2),
+                                         (_jetcore.sqrt_, self._sqrt_args(), (0, 1, 2), 1)):
+            for slot in slots:
+                args[slot] = np.zeros((self.SPACE.size, lanes))
+            yield kernel, args, slots, out
+
+    def test_mismatched_sample_counts(self):
+        for kernel, args, slots, out in self._blocks(4):
+            for odd in slots:
+                bad = list(args)
+                bad[odd] = np.ones((self.SPACE.size, 3))
+                self._assert_refused(kernel, bad, out, ValueError)
+                bad[odd] = np.ones(self.SPACE.size)  # a 1-d array is one sample
+                self._assert_refused(kernel, bad, out, ValueError)
+
+    def test_non_contiguous_block(self):
+        for kernel, args, slots, out in self._blocks(4):
+            for block in (np.ones((self.SPACE.size, 8))[:, ::2],
+                          np.asfortranarray(np.ones((self.SPACE.size, 4)))):
+                bad = list(args)
+                bad[slots[0]] = block
+                self._assert_refused(kernel, bad, out, ValueError)
+
+    def test_three_d_arrays(self):
+        for kernel, args, slots, out in self._blocks(4):
+            for slot in slots:
+                bad = list(args)
+                bad[slot] = np.ones((self.SPACE.size, 2, 2))
+                if slot == out:
+                    with pytest.raises(ValueError):
+                        kernel(*bad)
+                else:
+                    self._assert_refused(kernel, bad, out, ValueError)
+
+    def test_two_d_tables(self):
+        args = self._mul_args()
+        args[3] = np.ascontiguousarray(np.stack([args[3], args[3]], axis=1))
+        self._assert_refused(_jetcore.mul, args, 2, ValueError)
+
+    def test_overlapping_out(self):
+        s = self.SPACE
+        a = np.ones(s.size)
+        with pytest.raises(ValueError):
+            _jetcore.mul(a, np.ones(s.size), a, s.mul_i, s.mul_j, s.mul_k)
+        args = self._div_args()
+        args[3] = args[2]  # acc is out
+        with pytest.raises(ValueError):
+            _jetcore.div(*args)
+
     def test_wrong_argument_count(self):
         with pytest.raises(TypeError):
             _jetcore.mul(*self._mul_args()[:-1])
@@ -192,8 +330,8 @@ WORKLOAD_CONFIGS = {
 }
 
 
-def _report_text(doc: dict) -> str:
-    cfg = parse_config(dict(doc, samples=5))
+def _report_text(doc: dict, samples: int = 5) -> str:
+    cfg = parse_config(dict(doc, samples=samples))
     report = build_report(cfg.echo(), run_suites(resolve_metric(cfg.metric), cfg))
     report["versions"]["jet_backend"] = None
     return dumps(report)
@@ -206,3 +344,13 @@ def test_reports_bit_identical_across_tiers(workload, monkeypatch):
     monkeypatch.setattr(_kernels, "_jetcore", None)
     assert _kernels.backend_name() == "numpy"
     assert _report_text(WORKLOAD_CONFIGS[workload]) == compiled
+
+
+@pytest.mark.skipif(_jetcore is None, reason="compiled kernels not built")
+def test_chunked_reports_bit_identical_across_tiers(monkeypatch):
+    # 2 chunks and one more sample: full chunks and a short last one
+    doc = WORKLOAD_CONFIGS["sphere4-flag"]
+    samples = 2 * FLAG_CHUNK + 1
+    compiled = _report_text(doc, samples)
+    monkeypatch.setattr(_kernels, "_jetcore", None)
+    assert _report_text(doc, samples) == compiled

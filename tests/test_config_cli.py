@@ -169,6 +169,13 @@ class TestRegistry:
             resolve_metric(request_)
 
 
+def _spray_samples(args) -> int:
+    """How many samples one spray_jets(M, x, ...) call solves: x is one
+    point or a block of points."""
+    x = np.asarray(args[1])
+    return len(x) if x.ndim == 2 else 1
+
+
 class TestRunSuites:
     def test_inapplicable_suite_fails_with_reason(self):
         # a pure Riemannian bundle has no square data; the suite must not
@@ -216,7 +223,7 @@ class TestRunSuites:
         inner = finsler.spray_jets
 
         def counted(*args):
-            calls.append(1)
+            calls.append(_spray_samples(args))
             return inner(*args)
 
         monkeypatch.setattr(finsler, "spray_jets", counted)
@@ -225,16 +232,19 @@ class TestRunSuites:
         assert res[0].passed
         assert [c.name for c in res[0].checks] == ["einstein/certificate",
                                                    "einstein/scale-certificate"]
-        assert len(calls) == 3
+        assert sum(calls) == 3
 
     @staticmethod
     def _count_builds(monkeypatch, alpha=None):
-        """Count point bundles, spray solves, and Riemannian sprays of alpha."""
+        """Count point bundles, the samples of spray solves, and Riemannian
+        sprays of alpha."""
         calls = {"beta_derivatives": 0, "spray_jets": 0, "geodesic_spray": 0}
 
         def counter(module, name, inner):
             def counted(*args):
-                if name != "geodesic_spray" or args[0] is alpha:
+                if name == "spray_jets":
+                    calls[name] += _spray_samples(args)
+                elif name != "geodesic_spray" or args[0] is alpha:
                     calls[name] += 1
                 return inner(*args)
             monkeypatch.setattr(module, name, counted)

@@ -377,3 +377,75 @@ class TestSpraySpaces:
             assert new.f2 == old.f2
             for field in ("g", "spray", "riemann"):
                 assert np.array_equal(getattr(new, field), getattr(old, field)), field
+
+
+def _blocks():
+    """Every builtin and the warped construction, over both of its
+    expressions, at n = 3 to 6."""
+    out = []
+    for n in range(3, 7):
+        for name in builtin_names():
+            out.append(pytest.param(resolve_metric({"name": name, "dim": n}).metric,
+                                    id=f"{name}-{n}"))
+        spec = {"construct": {"factor": {"type": "sphere", "dim": n - 1}, "c": 1.0, "d": 0.5}}
+        cm = resolve_metric(spec).construction
+        out += [pytest.param(cm.metric, id=f"warped-{n}"),
+                pytest.param(cm.metric_reduced, id=f"warped-reduced-{n}")]
+    return out
+
+
+class TestSampleBlocks:
+    """A block of samples runs one jet program; every sample's bundle is
+    bit-identical to the one it gets alone."""
+
+    FIELDS = ("f2", "g", "spray", "riemann", "ricci")
+
+    @pytest.mark.parametrize("M", _blocks())
+    def test_block_equals_lone_builds(self, M):
+        samples = sample_inputs(M.alpha, M.beta, 5, 11)
+        block = curvature_data(M, samples.points, samples.directions)
+        assert len(block) == 5
+        for cd, x, y in zip(block, samples.points, samples.directions):
+            lone = curvature_data(M, x, y)
+            for field in self.FIELDS:
+                assert np.array_equal(getattr(cd, field), getattr(lone, field)), field
+
+    @pytest.mark.parametrize("name", builtin_names())
+    def test_batch_of_one_is_the_scalar_path(self, name):
+        M = resolve_metric({"name": name, "dim": 4}).metric
+        samples = sample_inputs(M.alpha, M.beta, 1, 12)
+        x, y = samples.points[0], samples.directions[0]
+        f2, g, G = spray_jets(M, x, y, 1, 2, 2)
+        f2_b, g_b, G_b = spray_jets(M, x[None], y[None], 1, 2, 2)
+        assert f2_b.shape == (1,) and f2_b[0] == f2
+        assert np.array_equal(g_b[0], g)
+        for gi, gi_b in zip(G, G_b):
+            assert gi_b.coeffs.shape == gi.coeffs.shape + (1,)
+            assert np.array_equal(gi_b.coeffs[:, 0], gi.coeffs)
+        (cd,) = curvature_data(M, x[None], y[None])
+        lone = curvature_data(M, x, y)
+        for field in self.FIELDS:
+            assert np.array_equal(getattr(cd, field), getattr(lone, field)), field
+
+    @pytest.mark.parametrize("name", ["berwald", "randers-drift"])
+    def test_douglas_block_equals_lone_builds(self, name):
+        M = resolve_metric(name).metric
+        samples = sample_inputs(M.alpha, M.beta, 4, 13)
+        block = douglas_tensor(M, samples.points, samples.directions)
+        for D, x, y in zip(block, samples.points, samples.directions):
+            lone = douglas_tensor(M, x, y)
+            assert np.array_equal(D.components, lone.components)
+            assert np.array_equal(D.y, lone.y)
+
+    def test_block_raises_at_a_failing_sample(self):
+        # the too-big-beta chart of test_convexity_failure_reported, with a
+        # convex sample first: the block fails as the bad sample does alone
+        M = GeneralABMetric(geo.euclidean(2), geo.gradient_form(2, 1.0),
+                            phi_square(), "too-big-beta")
+        xs = np.array([[0.1, 0.2], [1.25, 0.0]])
+        ys = np.array([[1.0, 0.5], [1.0, 0.001]])
+        with pytest.raises(StrongConvexityError) as lone:
+            curvature_data(M, xs[1], ys[1])
+        with pytest.raises(StrongConvexityError) as block:
+            curvature_data(M, xs, ys)
+        assert str(block.value) == str(lone.value)

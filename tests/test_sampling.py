@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+from finsq import finsler
 from finsq import geometry as geo
 from finsq import square as sq
-from finsq.finsler import GeneralABMetric
-from finsq.sampling import SampleTable, SamplingError, sample_inputs
+from finsq.finsler import GeneralABMetric, StrongConvexityError
+from finsq.registry import resolve_metric
+from finsq.sampling import FLAG_CHUNK, SampleTable, SamplingError, sample_inputs
 
 from conftest import philox
 
@@ -106,3 +108,57 @@ class TestSampleTable:
         randers = GeneralABMetric(table.alpha, table.beta, sq.randers_phi())
         with pytest.raises(ValueError, match="square metric"):
             sq.check_einstein_square(SampleTable(randers, table.points))
+
+
+class TestFlagChunks:
+    """Flag bundles are built one chunk of samples at a time."""
+
+    def test_one_spray_solve_per_chunk(self, monkeypatch):
+        blocks = []
+        inner = finsler.spray_jets
+
+        def counted(M, x, *args):
+            blocks.append(len(x))
+            return inner(M, x, *args)
+
+        monkeypatch.setattr(finsler, "spray_jets", counted)
+        al, be = geo.berwald_data(3)
+        count = 2 * FLAG_CHUNK + 1
+        table = SampleTable(sq.square_metric(al, be), philox(6).uniform(-0.3, 0.3, (count, 3)))
+        cd = table.flag(FLAG_CHUNK + 3)
+        table.flag(FLAG_CHUNK)
+        table.flag(2 * FLAG_CHUNK - 1)
+        assert blocks == [FLAG_CHUNK]
+        assert cd is table.flag(FLAG_CHUNK + 3)
+        for k in range(count):
+            table.flag(k)
+        assert blocks == [FLAG_CHUNK, FLAG_CHUNK, 1]
+        with pytest.raises(IndexError):
+            table.flag(count)
+
+    def test_a_failing_sample_spoils_no_other(self):
+        # the flat-factor construction with c = 0, d = 0.99999999: at some
+        # samples its fundamental tensor is not strongly convex
+        bundle = resolve_metric({"construct": {"factor": {"type": "flat", "dim": 2},
+                                               "c": 0, "d": 0.99999999}})
+        M = bundle.metric
+        samples = sample_inputs(M.alpha, M.beta, 8, 0, b_cap=0.9999999999)
+        lone, failed = {}, {}
+        for k, (x, y) in enumerate(zip(samples.points, samples.directions)):
+            try:
+                lone[k] = finsler.curvature_data(M, x, y)
+            except StrongConvexityError as exc:
+                failed[k] = str(exc)
+        bad = min(failed)
+        chosen = sorted(lone)[:4]
+        order = chosen[:2] + [bad] + chosen[2:]
+        table = SampleTable(M, samples.points[order], samples.directions[order])
+        for _ in range(2):
+            with pytest.raises(StrongConvexityError) as exc:
+                table.flag(2)
+            assert str(exc.value) == failed[bad]
+        for j, k in enumerate(order):
+            if k != bad:
+                cd = table.flag(j)
+                for field in ("f2", "g", "spray", "riemann", "ricci"):
+                    assert np.array_equal(getattr(cd, field), getattr(lone[k], field))
